@@ -15,6 +15,7 @@ _MASK = (1 << 32) - 1
 _HALF = 1 << 31
 _QUARTER = 1 << 30
 _THREE_Q = 3 << 30
+MAX_OVERDRAW = 64  # zero bits the decoder reads past the payload before giving up
 
 
 class ExhaustedStreamError(ValueError):
@@ -121,6 +122,11 @@ class Encoder:
             self.low <<= 1
             self.high = (self.high << 1) | 1
 
+    def shifts(self) -> int:
+        """Renormalization shifts so far: each one has emitted a bit or
+        deferred one. The decoder's count follows the same trajectory."""
+        return self.bits_written + self.pending_bits
+
     def finish(self) -> bytes:
         """Seal the stream. The interval always contains one-half at this
         point (low < HALF <= high), so a single 1 bit plus the deferred
@@ -139,7 +145,7 @@ class Decoder:
     """Mirror of Encoder over a fixed payload; total for arbitrary bytes.
 
     Reads past the end yield zero bits, which is exactly what the encoder's
-    byte padding implies; more than 64 such reads means the caller is
+    byte padding implies; more than MAX_OVERDRAW such reads means the caller is
     decoding symbols that were never encoded."""
 
     __slots__ = ("low", "high", "value", "_data", "_bitpos", "_overdrawn")
@@ -158,7 +164,7 @@ class Decoder:
         byte_i = self._bitpos >> 3
         if byte_i >= len(self._data):
             self._overdrawn += 1
-            if self._overdrawn > 64:
+            if self._overdrawn > MAX_OVERDRAW:
                 raise ExhaustedStreamError(
                     f"needed {self._overdrawn} bits past the end of a "
                     f"{len(self._data)}-byte payload")
@@ -166,6 +172,11 @@ class Decoder:
         bit = (self._data[byte_i] >> (7 - (self._bitpos & 7))) & 1
         self._bitpos += 1
         return bit
+
+    def shifts(self) -> int:
+        """Renormalization shifts so far: one bit read each, past the 32
+        that primed `value`; equals the encoder's count at every symbol."""
+        return self._bitpos + self._overdrawn - 32
 
     def decode_symbol(self, q: QuantizedDistribution) -> int:
         rng = self.high - self.low + 1

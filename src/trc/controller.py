@@ -8,7 +8,6 @@ cold model has everything to learn.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -51,11 +50,6 @@ def should_backprop(cache: LossCache, e: float) -> bool:
     decision = True if len(cache) == 0 else e > cache.mean()
     cache.push(e)
     return decision
-
-
-def cross_entropy(gt: int, p) -> float:
-    """-ln p[gt]: the coding cost in nats of the byte that actually occurred."""
-    return -math.log(float(p[gt]))
 
 
 @dataclass

@@ -234,15 +234,6 @@ def take_per_row(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(out, (x,), back)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(dtype=np.float64))
-
-    def back(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
-
-    return Tensor(out.astype(x.data.dtype), (x,), back)
-
-
 def mean_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.mean(dtype=np.float64))
 
@@ -354,19 +345,9 @@ class Rng64:
         return z ^ (z >> 31)
 
 
-def rng_uniform(rng: Rng64, lo: float, hi: float) -> float:
-    """One draw in [lo, hi); reproducible from seed."""
-    if not lo < hi:
-        raise ValueError(f"empty range: lo={lo!r} must be < hi={hi!r}")
-    u = (rng.next_u64() >> 11) * 2.0 ** -53
-    r = lo + (hi - lo) * u
-    if r >= hi:  # float rounding can hit the open bound on tiny ranges
-        r = math.nextafter(hi, -math.inf)
-    return r
-
-
 def fill_uniform(rng: Rng64, n: int, lo: float, hi: float) -> np.ndarray:
-    """n draws, bit-identical to n calls of rng_uniform, computed vectorized.
+    """n draws in [lo, hi), (rng.next_u64() >> 11) * 2^-53 scaled into range,
+    computed vectorized.
 
     SplitMix64 state advances by a fixed constant per draw, so the n states
     are an affine jump from the current one; mixing is elementwise.

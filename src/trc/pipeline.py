@@ -5,13 +5,20 @@ arithmetic stream by one shared model. Each lane's first c*g bytes are
 coded uniformly (the model needs that much history before it can speak);
 after that, every global step codes one byte per active lane with the
 model's pre-update prediction, then the mean loss across lanes gates one
-optimizer step. Decompression replays the identical loop, so the model
-trajectories match bit for bit and no weights are ever stored.
+optimizer step. Compress and decompress run this one loop, differing only
+in whether a byte is encoded from the input or decoded into the output,
+so the model trajectories match and no weights are ever stored.
 
-Container layout (little-endian, fixed width, payload immediately after):
-magic "TRCE", version u8, hidden u16, ffn u16, group u16, context u16,
-ffn_repeats u16, heads u16, lanes u16, lr f32, controller u8, cache u16,
-seed u64, original_length u64, payload crc32 u32.
+Replay contract: decoding repeats the encoder's float computation bit for
+bit only on the same numpy/BLAS build and kernel family. Where that breaks,
+the decoded bytes fail the data checksum and decompress raises
+ChecksumMismatchError; it never returns wrong bytes.
+
+Container layout, version 2 (little-endian, fixed width, 50 bytes, payload
+immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
+u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
+controller u8, cache u16, seed u64, original_length u64, data crc32 u32
+(of the original bytes), payload crc32 u32.
 """
 
 from __future__ import annotations
@@ -24,16 +31,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coder import Decoder, Encoder, QuantizedDistribution, UNIFORM, quantize
+from .coder import (MAX_OVERDRAW, Decoder, Encoder, ExhaustedStreamError,
+                    QuantizedDistribution, UNIFORM, quantize)
 from .controller import DecisionStats, LossCache, should_backprop
 from .controller import skip_fraction as _skip_fraction
 from .model import ModelConfig, TraceModel, forward_probs, nll_loss
 from .nn import adam_step, backward
 
 MAGIC = b"TRCE"
-VERSION = 1
-_HEADER = struct.Struct("<4sB7HfBHQQI")
+VERSION = 2
+_HEADER = struct.Struct("<4sB7HfBHQQII")
 HEADER_SIZE = _HEADER.size
+CHUNK_STEPS = 256
+# The likeliest symbol a quantized distribution allows has frequency
+# 65536 - 255, so every symbol costs at least log2(65536/65281) ~= 0.005625
+# bits of renormalization shifts; rounded down to allow for range rounding.
+_MIN_SYMBOL_BITS = 0.0056
 
 
 class ContainerError(ValueError):
@@ -65,6 +78,7 @@ class ContainerHeader:
     cache_capacity: int
     seed: int
     original_length: int
+    data_checksum: int
     checksum: int
 
     def pack(self) -> bytes:
@@ -73,31 +87,44 @@ class ContainerHeader:
             MAGIC, VERSION, c.hidden_dim, c.ffn_dim, c.group_size,
             c.context_len, c.shared_ffn_repeats, c.num_heads, self.lanes,
             self.lr, int(self.controller_enabled), self.cache_capacity,
-            self.seed, self.original_length, self.checksum)
+            self.seed, self.original_length, self.data_checksum, self.checksum)
 
     @classmethod
     def unpack(cls, blob: bytes) -> tuple["ContainerHeader", bytes]:
-        """Split a container into (header, payload), checking frame fields.
+        """Split a container into (header, payload), checking every field.
 
-        Magic and version are rejected before anything else is trusted;
-        payload integrity (checksum) is the caller's second gate."""
+        Magic and version are rejected before anything else is trusted; a
+        field no compress call could have written raises ContainerError.
+        Payload integrity (checksum) is the caller's second gate."""
         if len(blob) >= 4 and blob[:4] != MAGIC:
             raise BadMagicError(f"not a container: magic {blob[:4]!r}")
         if len(blob) < HEADER_SIZE:
             raise TruncatedPayloadError(
                 f"container is {len(blob)} bytes, header alone needs {HEADER_SIZE}")
-        (magic, version, h, ffn, g, c, n, heads, lanes, lr, ctrl, cache,
-         seed, length, crc) = _HEADER.unpack_from(blob)
-        if magic != MAGIC:
-            raise BadMagicError(f"not a container: magic {magic!r}")
+        (_, version, h, ffn, g, c, n, heads, lanes, lr, ctrl, cache,
+         seed, length, data_crc, crc) = _HEADER.unpack_from(blob)
         if version != VERSION:
             raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
-        config = ModelConfig(hidden_dim=h, ffn_dim=ffn, group_size=g,
-                             context_len=c, shared_ffn_repeats=n, num_heads=heads)
+        try:
+            config = ModelConfig(hidden_dim=h, ffn_dim=ffn, group_size=g,
+                                 context_len=c, shared_ffn_repeats=n, num_heads=heads)
+        except ValueError as exc:
+            raise ContainerError(f"bad model shape: {exc}") from exc
+        if lanes < 1 or cache < 1:
+            raise ContainerError(f"lanes {lanes} and cache {cache} must be positive")
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ContainerError(f"learning rate {lr!r} is not finite and positive")
+        if ctrl > 1:
+            raise ContainerError(f"controller flag {ctrl} is neither 0 nor 1")
+        payload = blob[HEADER_SIZE:]
+        if length > (8 * len(payload) + MAX_OVERDRAW) / _MIN_SYMBOL_BITS:
+            raise TruncatedPayloadError(
+                f"a {len(payload)}-byte payload cannot carry {length} bytes")
         header = cls(config=config, lanes=lanes, lr=lr,
                      controller_enabled=bool(ctrl), cache_capacity=cache,
-                     seed=seed, original_length=length, checksum=crc)
-        return header, blob[HEADER_SIZE:]
+                     seed=seed, original_length=length, data_checksum=data_crc,
+                     checksum=crc)
+        return header, payload
 
 
 def segment_lanes(length: int, lanes: int) -> list[tuple[int, int]]:
@@ -128,7 +155,13 @@ class ChunkMetrics:
 @dataclass
 class StreamMetrics:
     """Per-chunk trace of a job; chunks cover main-loop steps only, warm-up
-    totals are carried separately so bits always reconcile."""
+    totals are carried separately so bits always reconcile.
+
+    Bits are the coder's renormalization shifts, which the encoder and the
+    decoder make at the same symbols, so both directions report equal
+    traces apart from wall time. The seal and byte padding after the last
+    symbol go to the last chunk (to warm-up if no chunk ran), so the total
+    is 8 x payload bytes."""
 
     chunk_steps: int
     warmup_bytes: int = 0
@@ -142,6 +175,14 @@ class StreamMetrics:
     @property
     def total_bits_out(self) -> int:
         return self.warmup_bits + sum(c.bits_out for c in self.chunks)
+
+    def add_trailer(self, payload_bits: int) -> None:
+        """Credit the bits after the last symbol so the total is payload_bits."""
+        extra = payload_bits - self.total_bits_out
+        if self.chunks:
+            self.chunks[-1].bits_out += extra
+        else:
+            self.warmup_bits += extra
 
 
 class DistributionProbe:
@@ -180,9 +221,10 @@ class CompressResult:
 class DecompressResult:
     data: bytes
     stats: DecisionStats
+    metrics: StreamMetrics
 
 
-def _check_job_args(lanes, lr, cache_capacity, seed):
+def _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps):
     if not 1 <= lanes <= 0xFFFF:
         raise ValueError(f"lanes must be in [1, 65535], got {lanes}")
     if not lr > 0.0:
@@ -191,169 +233,128 @@ def _check_job_args(lanes, lr, cache_capacity, seed):
         raise ValueError(f"cache capacity must be in [1, 65535], got {cache_capacity}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    if chunk_steps < 1:
+        raise ValueError(f"chunk_steps must be positive, got {chunk_steps}")
 
 
-class _Job:
-    """Shared loop state: lane geometry, model, controller, metrics clock."""
+def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: int,
+         probe: DistributionProbe | None) -> tuple[StreamMetrics, DecisionStats]:
+    """The lane loop of both directions.
 
-    def __init__(self, header: ContainerHeader, chunk_steps: int):
-        if chunk_steps < 1:
-            raise ValueError(f"chunk_steps must be positive, got {chunk_steps}")
-        self.header = header
-        self.model = TraceModel(header.config, header.seed)
-        self.params = self.model.parameters()
-        self.cache = LossCache(header.cache_capacity)
-        self.stats = DecisionStats()
-        self.metrics = StreamMetrics(chunk_steps=chunk_steps)
-        window = header.config.window
-        segs = segment_lanes(header.original_length, header.lanes)
-        self.offsets = np.array([o for o, _ in segs], dtype=np.int64)
-        self.lengths = np.array([n for _, n in segs], dtype=np.int64)
-        self.warm = np.minimum(self.lengths, window)
-        self.main_lens = self.lengths - self.warm
-        self.max_steps = int(self.main_lens.max()) if len(segs) else 0
-        self.window = window
+    `code(i, q)` codes byte i of the file under q and returns it: the
+    encoder reads it from `buf`, the decoder decodes it into `buf`. A step's
+    histories lie before its positions in the same lanes, so they are known
+    to both sides. `shifts()` is the coder's renormalization shift count."""
+    model = TraceModel(header.config, header.seed)
+    params = model.parameters()
+    cache = LossCache(header.cache_capacity)
+    stats = DecisionStats()
+    metrics = StreamMetrics(chunk_steps=chunk_steps)
+    window = header.config.window
+    segs = np.array(segment_lanes(header.original_length, header.lanes), dtype=np.int64)
+    warm = np.minimum(segs[:, 1], window)
+    starts = segs[:, 0] + warm
+    main_lens = segs[:, 1] - warm
 
-    def step_lanes(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Active lane indices and the absolute position each codes at step s."""
-        idx = np.nonzero(self.main_lens > s)[0]
-        pos = self.offsets[idx] + self.warm[idx] + s
-        return idx, pos
+    for off, n in zip(segs[:, 0].tolist(), warm.tolist()):
+        for i in range(off, off + n):
+            sym = code(i, UNIFORM)
+            if probe is not None:
+                probe.observe(UNIFORM, sym)
+    metrics.warmup_bytes = int(warm.sum())
+    metrics.warmup_bits = shifts()
 
-    def histories(self, buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        cols = np.arange(-self.window, 0, dtype=np.int64)
-        return buf[pos[:, None] + cols[None, :]].astype(np.int64)
-
-    def update(self, probs_tensor, targets: np.ndarray) -> tuple[float, bool]:
-        """Mean-loss gate plus the (possibly skipped) optimizer step."""
-        loss = nll_loss(probs_tensor, targets)
+    cols = np.arange(-window, 0, dtype=np.int64)
+    max_steps = int(main_lens.max())
+    steps = coded = skipped = 0
+    loss_sum = 0.0
+    bits_mark, chunk_start = metrics.warmup_bits, time.perf_counter()
+    for s in range(max_steps):
+        pos = starts[main_lens > s] + s
+        probs_tensor = forward_probs(model, buf[pos[:, None] + cols].astype(np.int64))
+        for p, i in zip(probs_tensor.data, pos.tolist()):
+            q = quantize(p)
+            sym = code(i, q)
+            if probe is not None:
+                probe.observe(q, sym)
+        loss = nll_loss(probs_tensor, buf[pos].astype(np.int64))
         e = float(loss.data)
-        if self.header.controller_enabled:
-            do = should_backprop(self.cache, e)
-        else:
-            do = True
-        self.stats.record(do)
-        if do:
+        update = should_backprop(cache, e) if header.controller_enabled else True
+        stats.record(update)
+        if update:
             backward(loss)
-            adam_step(self.params, self.header.lr)
-        return e, do
+            adam_step(params, header.lr)
+        steps += 1
+        coded += len(pos)
+        loss_sum += e
+        skipped += not update
+        if steps == chunk_steps or s == max_steps - 1:
+            now, bits = time.perf_counter(), shifts()
+            metrics.chunks.append(ChunkMetrics(
+                steps=steps, bytes_in=coded, bits_out=bits - bits_mark,
+                mean_loss=loss_sum / steps, skip_count=skipped,
+                wall_s=now - chunk_start))
+            steps = coded = skipped = 0
+            loss_sum = 0.0
+            bits_mark, chunk_start = bits, now
+    return metrics, stats
 
 
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
              seed: int, lanes: int = 64, lr: float = 1e-3,
              controller: bool = False, cache_capacity: int = 16,
-             chunk_steps: int = 256,
+             chunk_steps: int = CHUNK_STEPS,
              probe: DistributionProbe | None = None) -> CompressResult:
     """Code `data` into a self-describing container.
 
     The stored learning rate is the float32 the header can carry, and the
     encoder optimizes with that exact value, so the decoder's replay is
     bit-identical."""
-    _check_job_args(lanes, lr, cache_capacity, seed)
+    _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps)
     lr32 = float(np.float32(lr))
     if not lr32 > 0.0:
         raise ValueError(f"learning rate {lr} rounds to zero in float32")
     header = ContainerHeader(config=config, lanes=lanes, lr=lr32,
                              controller_enabled=controller,
                              cache_capacity=cache_capacity, seed=seed,
-                             original_length=len(data), checksum=0)
-    job = _Job(header, chunk_steps)
-    buf = np.frombuffer(data, dtype=np.uint8)
+                             original_length=len(data),
+                             data_checksum=zlib.crc32(data), checksum=0)
     enc = Encoder()
 
-    for lane in range(lanes):
-        off = int(job.offsets[lane])
-        for j in range(int(job.warm[lane])):
-            sym = int(buf[off + j])
-            if probe is not None:
-                probe.observe(UNIFORM, sym)
-            enc.encode_symbol(sym, UNIFORM)
-    job.metrics.warmup_bytes = int(job.warm.sum())
-    job.metrics.warmup_bits = enc.bits_written
+    def encode(i, q):
+        enc.encode_symbol(data[i], q)
+        return data[i]
 
-    chunk_start = time.perf_counter()
-    steps = coded = skip = 0
-    loss_sum = 0.0
-    bits_mark = enc.bits_written
-
-    def close_chunk():
-        nonlocal steps, coded, skip, loss_sum, bits_mark, chunk_start
-        now = time.perf_counter()
-        job.metrics.chunks.append(ChunkMetrics(
-            steps=steps, bytes_in=coded, bits_out=enc.bits_written - bits_mark,
-            mean_loss=loss_sum / steps, skip_count=skip,
-            wall_s=now - chunk_start))
-        steps = coded = skip = 0
-        loss_sum = 0.0
-        bits_mark = enc.bits_written
-        chunk_start = now
-
-    for s in range(job.max_steps):
-        idx, pos = job.step_lanes(s)
-        probs_tensor = forward_probs(job.model, job.histories(buf, pos))
-        probs = probs_tensor.data
-        targets = buf[pos].astype(np.int64)
-        for j in range(len(idx)):
-            q = quantize(probs[j])
-            sym = int(targets[j])
-            if probe is not None:
-                probe.observe(q, sym)
-            enc.encode_symbol(sym, q)
-        e, did = job.update(probs_tensor, targets)
-        steps += 1
-        coded += len(idx)
-        loss_sum += e
-        skip += 0 if did else 1
-        if steps == chunk_steps:
-            close_chunk()
-
-    if steps:
-        close_chunk()
-
-    payload = enc.finish() if len(data) else b""
-    if len(data) and job.metrics.chunks:
-        # trailer and padding bits belong to the last coded chunk
-        job.metrics.chunks[-1].bits_out += enc.bits_written - bits_mark
-    elif len(data):
-        job.metrics.warmup_bits = enc.bits_written
+    metrics, stats = _run(header, np.frombuffer(data, dtype=np.uint8), encode,
+                          enc.shifts, chunk_steps, probe)
+    payload = enc.finish() if data else b""
+    metrics.add_trailer(8 * len(payload))
     header = replace(header, checksum=zlib.crc32(payload))
-    return CompressResult(container=header.pack() + payload,
-                          metrics=job.metrics, stats=job.stats)
+    return CompressResult(container=header.pack() + payload, metrics=metrics, stats=stats)
 
 
 def decompress(container: bytes,
                probe: DistributionProbe | None = None) -> DecompressResult:
-    """Invert compress: parse, verify, re-seed, replay, reassemble."""
+    """Invert compress: parse, verify the payload, re-seed, replay, then
+    verify the decoded bytes. Metrics are chunked every CHUNK_STEPS steps."""
     header, payload = ContainerHeader.unpack(container)
     if zlib.crc32(payload) != header.checksum:
         raise ChecksumMismatchError(
             f"payload crc {zlib.crc32(payload):08x} != header {header.checksum:08x}")
     out = np.zeros(header.original_length, dtype=np.uint8)
-    if header.original_length == 0:
-        return DecompressResult(data=b"", stats=DecisionStats())
-    job = _Job(header, chunk_steps=1 << 30)
     dec = Decoder(payload)
 
-    for lane in range(header.lanes):
-        off = int(job.offsets[lane])
-        for j in range(int(job.warm[lane])):
-            sym = dec.decode_symbol(UNIFORM)
-            if probe is not None:
-                probe.observe(UNIFORM, sym)
-            out[off + j] = sym
+    def decode(i, q):
+        out[i] = sym = dec.decode_symbol(q)
+        return sym
 
-    for s in range(job.max_steps):
-        idx, pos = job.step_lanes(s)
-        probs_tensor = forward_probs(job.model, job.histories(out, pos))
-        probs = probs_tensor.data
-        targets = np.empty(len(idx), dtype=np.int64)
-        for j in range(len(idx)):
-            q = quantize(probs[j])
-            sym = dec.decode_symbol(q)
-            if probe is not None:
-                probe.observe(q, sym)
-            targets[j] = sym
-            out[pos[j]] = sym
-        job.update(probs_tensor, targets)
-
-    return DecompressResult(data=out.tobytes(), stats=job.stats)
+    try:
+        metrics, stats = _run(header, out, decode, dec.shifts, CHUNK_STEPS, probe)
+    except ExhaustedStreamError as exc:
+        raise TruncatedPayloadError(str(exc)) from exc
+    metrics.add_trailer(8 * len(payload))
+    data = out.tobytes()
+    if zlib.crc32(data) != header.data_checksum:
+        raise ChecksumMismatchError(
+            f"decoded data crc {zlib.crc32(data):08x} != header {header.data_checksum:08x}")
+    return DecompressResult(data=data, stats=stats, metrics=metrics)

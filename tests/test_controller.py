@@ -1,27 +1,14 @@
 """Gating semantics: threshold math, FIFO eviction, and the skip statistics."""
 
-import math
-
 import numpy as np
 import pytest
 
 from trc.controller import (
     DecisionStats,
     LossCache,
-    cross_entropy,
     should_backprop,
     skip_fraction,
 )
-
-
-def test_cross_entropy_closed_forms():
-    p = np.zeros(256)
-    p[7] = 1.0
-    assert cross_entropy(7, p) == 0.0
-    assert abs(cross_entropy(0, np.full(256, 1.0 / 256.0)) - math.log(256.0)) < 1e-12
-    p = np.full(256, 0.5 / 255.0)
-    p[9] = 0.5
-    assert abs(cross_entropy(9, p) - math.log(2.0)) < 1e-12
 
 
 def test_decision_above_mean_backprops():

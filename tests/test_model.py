@@ -11,18 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, numeric_grad
+from oracles import attention, embed_groups, predict, transformer_layer
 from trc.model import (
     ModelConfig,
     TraceModel,
     VOCAB,
     _ffn,
-    attention,
-    embed_groups,
     forward_probs,
     nll_loss,
     parameter_count,
-    predict,
-    transformer_layer,
 )
 from trc.nn import Tensor, adam_step, backward
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, numeric_grad
+from oracles import rng_uniform
 from trc.nn import (
     Parameter,
     Rng64,
@@ -27,10 +28,8 @@ from trc.nn import (
     mean_all,
     neg,
     reshape,
-    rng_uniform,
     scale,
     softmax_rows,
-    sum_all,
     take_per_row,
     transpose,
 )
@@ -171,7 +170,6 @@ def test_gather_and_take_forward():
 
 def test_reductions_and_scalar_ops():
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64))
-    assert float(sum_all(x).data) == 10.0
     assert float(mean_all(x).data) == 2.5
     assert np.array_equal(neg(x).data, -x.data)
     assert np.array_equal(scale(x, 0.5).data, x.data * 0.5)
@@ -208,7 +206,7 @@ def _fd_check(build_loss, shapes, seed, step=1e-3):
 
 def test_backward_matmul_chain():
     _fd_check(
-        lambda ps: sum_all(gelu(matmul(ps[0].value, ps[1].value))),
+        lambda ps: mean_all(gelu(matmul(ps[0].value, ps[1].value))),
         [(3, 4), (4, 2)],
         seed=21,
     )
@@ -216,7 +214,7 @@ def test_backward_matmul_chain():
 
 def test_backward_batched_matmul():
     _fd_check(
-        lambda ps: sum_all(gelu(matmul(ps[0].value, ps[1].value))),
+        lambda ps: mean_all(gelu(matmul(ps[0].value, ps[1].value))),
         [(2, 3, 4), (2, 4, 3)],
         seed=22,
     )
@@ -234,7 +232,7 @@ def test_backward_softmax_log_take():
 
 def test_backward_add_broadcast():
     def build(ps):
-        return sum_all(gelu(add(ps[0].value, ps[1].value)))
+        return mean_all(gelu(add(ps[0].value, ps[1].value)))
 
     _fd_check(build, [(2, 3, 4), (3, 4)], seed=24)
 
@@ -242,7 +240,7 @@ def test_backward_add_broadcast():
 def test_backward_shape_ops():
     def build(ps):
         t = transpose(reshape(ps[0].value, (2, 3, 4)), (0, 2, 1))
-        return sum_all(gelu(last_position(t)))
+        return mean_all(gelu(last_position(t)))
 
     _fd_check(build, [(6, 4)], seed=25)
 
@@ -251,7 +249,7 @@ def test_backward_gather_accumulates_repeats():
     idx = np.array([1, 1, 0, 3], dtype=np.int64)
 
     def build(ps):
-        return sum_all(gelu(gather_rows(ps[0].value, idx)))
+        return mean_all(gelu(gather_rows(ps[0].value, idx)))
 
     _fd_check(build, [(4, 3)], seed=26)
 
@@ -263,23 +261,23 @@ def test_backward_scale_and_neg():
     _fd_check(build, [(4, 4)], seed=27)
 
 
-def test_backward_sum_gives_ones():
-    p = Parameter(np.zeros((3, 2), dtype=np.float32))
-    backward(sum_all(p.value))
-    assert np.array_equal(p.grad, np.ones((3, 2), dtype=np.float64))
+def test_backward_mean_gives_equal_shares():
+    p = Parameter(np.zeros((2, 2), dtype=np.float32))
+    backward(mean_all(p.value))
+    assert np.array_equal(p.grad, np.full((2, 2), 0.25))
 
 
 def test_backward_zero_scale_gives_zeros():
     p = Parameter(np.ones((2, 2), dtype=np.float32))
-    backward(scale(sum_all(gelu(p.value)), 0.0))
+    backward(scale(mean_all(gelu(p.value)), 0.0))
     assert np.array_equal(p.grad, np.zeros((2, 2)))
 
 
 def test_backward_accumulates_across_calls():
     p = Parameter(np.ones((2,), dtype=np.float32))
-    backward(sum_all(p.value))
-    backward(scale(sum_all(p.value), 2.0))
-    assert np.array_equal(p.grad, np.full((2,), 3.0))
+    backward(mean_all(p.value))
+    backward(scale(mean_all(p.value), 2.0))
+    assert np.array_equal(p.grad, np.full((2,), 1.5))
 
 
 def test_backward_rejects_non_scalar():
@@ -291,12 +289,12 @@ def test_backward_rejects_non_scalar():
 def test_diamond_reuse_sums_both_paths():
     p = Parameter(np.array([0.7, -0.3], dtype=np.float64))
     x = p.value
-    loss = sum_all(add(gelu(x), scale(x, 2.0)))
+    loss = mean_all(add(gelu(x), scale(x, 2.0)))
     backward(loss)
 
     def run():
         x2 = p.value
-        return float(sum_all(add(gelu(x2), scale(x2, 2.0))).data)
+        return float(mean_all(add(gelu(x2), scale(x2, 2.0))).data)
 
     numeric = numeric_grad(run, [p.value.data])
     assert_grads_close(p.grad, numeric[0])
@@ -394,9 +392,9 @@ def test_rng_uniform_range_and_determinism():
 def test_rng_uniform_rejects_empty_range():
     rng = Rng64(seed=1)
     with pytest.raises(ValueError):
-        rng_uniform(rng, 1.0, 1.0)
+        fill_uniform(rng, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rng_uniform(rng, 2.0, -2.0)
+        fill_uniform(rng, 4, 2.0, -2.0)
 
 
 def test_fill_uniform_equals_scalar_loop():

@@ -1,11 +1,13 @@
 """End-to-end loop and container contracts.
 
-The defining property is round-trip identity; around it sit the header
-frame, lane geometry, the probe proving encoder and decoder saw identical
-distribution sequences, and bit conservation in the metrics.
+The defining property is round-trip identity, or else a ContainerError;
+around it sit the header frame, lane geometry, the probe proving encoder
+and decoder saw identical distribution sequences, equal metrics in both
+directions, and bit conservation in the metrics.
 """
 
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from trc.pipeline import (
     MAGIC,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    _HEADER,
     compress,
     decompress,
     segment_lanes,
@@ -37,6 +40,18 @@ def roundtrip(data, config=SMALL, **kw):
     res = compress(data, config, **kw)
     out = decompress(res.container)
     return res, out
+
+
+def reseal(container, payload):
+    """Swap in a new payload under a matching payload CRC, so it passes the
+    first integrity gate and reaches the decoder."""
+    header, _ = ContainerHeader.unpack(container)
+    return dataclasses.replace(header, checksum=zlib.crc32(payload)).pack() + payload
+
+
+def without_wall_time(metrics):
+    return dataclasses.replace(
+        metrics, chunks=[dataclasses.replace(c, wall_s=0.0) for c in metrics.chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +101,13 @@ def test_header_packs_to_fixed_size_and_roundtrips():
     header = ContainerHeader(config=SMALL, lanes=4, lr=float(np.float32(0.001)),
                              controller_enabled=True, cache_capacity=16,
                              seed=0xDEADBEEFCAFE, original_length=123456,
-                             checksum=0x11223344)
+                             data_checksum=0x55667788, checksum=0x11223344)
     blob = header.pack()
-    assert len(blob) == HEADER_SIZE == 46
+    assert len(blob) == HEADER_SIZE == 50
     assert blob[:4] == MAGIC
-    parsed, payload = ContainerHeader.unpack(blob + b"xyz")
+    parsed, payload = ContainerHeader.unpack(blob + b"xyz" * 1000)
     assert parsed == header
-    assert payload == b"xyz"
+    assert payload == b"xyz" * 1000
 
 
 def test_header_learning_rate_is_exact_float32():
@@ -111,9 +126,27 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    good[4] = 99
-    with pytest.raises(UnsupportedVersionError):
-        decompress(bytes(good))
+    for version in (1, 99):
+        good[4] = version
+        with pytest.raises(UnsupportedVersionError):
+            decompress(bytes(good))
+
+
+_FIELD = {"hidden": 2, "group": 4, "lanes": 8, "lr": 9, "controller": 10,
+          "cache": 11, "length": 13}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lanes", 0), ("cache", 0), ("hidden", 0), ("hidden", 15), ("group", 0),
+    ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+    ("controller", 2), ("length", 1 << 62), ("length", 80_000),
+])
+def test_unpack_rejects_bad_header_fields(field, value):
+    good = compress(b"hello world", SMALL, seed=1, lanes=2).container
+    fields = list(_HEADER.unpack_from(good))
+    fields[_FIELD[field]] = value
+    with pytest.raises(ContainerError):
+        decompress(_HEADER.pack(*fields) + good[HEADER_SIZE:])
 
 
 def test_unpack_rejects_truncated_container():
@@ -122,6 +155,9 @@ def test_unpack_rejects_truncated_container():
         ContainerHeader.unpack(good[:HEADER_SIZE - 1])
     with pytest.raises(TruncatedPayloadError):
         decompress(b"TR")
+    cut = compress(synthetic_text(600, seed=8), SMALL, seed=1, lanes=4).container
+    with pytest.raises(TruncatedPayloadError):
+        decompress(reseal(cut, cut[HEADER_SIZE:(HEADER_SIZE + len(cut)) // 2]))
 
 
 def test_payload_bit_flip_fails_checksum():
@@ -129,6 +165,25 @@ def test_payload_bit_flip_fails_checksum():
     good[HEADER_SIZE + 10] ^= 0x01
     with pytest.raises(ChecksumMismatchError):
         decompress(bytes(good))
+
+
+def test_payload_bit_flips_never_decode_to_wrong_bytes():
+    # Flips under a resealed payload CRC stand in for any encoder/decoder
+    # divergence: each must give back the input or raise ContainerError.
+    data = synthetic_text(600, seed=8)
+    good = compress(data, SMALL, seed=1, lanes=8, controller=True).container
+    payload = good[HEADER_SIZE:]
+    kinds = set()
+    for bit in np.random.default_rng(40).choice(8 * len(payload), 40, replace=False):
+        bad = bytearray(payload)
+        bad[bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            out = decompress(reseal(good, bytes(bad)))
+        except ContainerError as exc:
+            kinds.add(type(exc))
+        else:
+            assert out.data == data
+    assert kinds == {ChecksumMismatchError, TruncatedPayloadError}
 
 
 def test_container_errors_share_a_base():
@@ -172,11 +227,15 @@ def test_roundtrip_text_with_controller():
 
 
 def test_roundtrip_matches_decoder_stats():
-    data = synthetic_text(2500, seed=9)
-    res = compress(data, SMALL, seed=3, lanes=5, controller=True)
-    out = decompress(res.container)
-    assert out.data == data
-    assert out.stats == res.stats
+    cases = [(synthetic_text(2500, seed=9), 5, True), (b"", 3, False), (b"abc", 1, True)]
+    cases += [(synthetic_text(600, seed=lanes), lanes, controller)
+              for lanes in (1, 3, 11) for controller in (False, True)]
+    for data, lanes, controller in cases:
+        res = compress(data, SMALL, seed=3, lanes=lanes, controller=controller)
+        out = decompress(res.container)
+        assert out.data == data
+        assert out.stats == res.stats
+        assert without_wall_time(out.metrics) == without_wall_time(res.metrics)
 
 
 def test_roundtrip_all_byte_values():
