@@ -36,6 +36,17 @@ class QuantizedDistribution:
         total = int(freq.sum())
         if total != TOTAL:
             raise ValueError(f"frequencies sum to {total}, need {TOTAL}")
+        self._set(freq)
+
+    @classmethod
+    def _trusted(cls, freq: np.ndarray) -> "QuantizedDistribution":
+        """Wrap int64 frequencies already known to be valid, skipping the
+        checks; for quantize, whose output is valid by construction."""
+        q = cls.__new__(cls)
+        q._set(freq)
+        return q
+
+    def _set(self, freq: np.ndarray) -> None:
         self.freq = freq
         cum = np.empty(257, dtype=np.int64)
         cum[0] = 0
@@ -60,7 +71,7 @@ def quantize(p) -> QuantizedDistribution:
     if leftover:
         # argmax freq >= 256 while |leftover| <= ~262, so this stays positive
         freq[int(np.argmax(p))] += leftover
-    return QuantizedDistribution(freq)
+    return QuantizedDistribution._trusted(freq)
 
 
 UNIFORM = quantize(np.full(256, 1.0 / 256.0))

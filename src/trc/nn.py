@@ -1,10 +1,14 @@
-"""Dense float tensors with reverse-mode autodiff, a deterministic PRNG, and Adam.
+"""Array kernels for the model's one fixed graph, Adam, and a deterministic PRNG.
 
-Only the operations the byte-prediction model needs are implemented. Values
-live in float32 by default (float64 is available end to end for gradient
-checking); every reduction accumulates in float64 before rounding back to the
-working dtype, and kernels are fixed and single-threaded-deterministic, so a
-given input always produces the same bits.
+There is no tape: `model.forward_probs` calls the forward ops below and
+`model.backward` applies their hand-written derivatives. The forward ops are
+module-level functions that `trc.model` imports by name, so a profiler can
+wrap each one, even where numpy alone would do.
+
+Arrays are float32 in production and float64 for gradient checking; every op
+keeps the dtype of its inputs, and products are plain `np.matmul` (sgemm in
+float32), so a given input gives the same bits on the same numpy/BLAS build
+and kernel family.
 """
 
 from __future__ import annotations
@@ -16,275 +20,76 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-class Tensor:
-    """A dense array plus the links needed to replay the forward pass backwards.
-
-    Leaf tensors have no parents; non-leaf tensors remember the tensors they
-    were computed from and a closure that routes gradients to them. The record
-    is rebuilt on every forward pass and discarded after backward().
-    """
-
-    __slots__ = ("data", "grad", "_parents", "_backward", "_param")
-
-    def __init__(self, data, parents=(), backward=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
-        self.grad = None  # float64 buffer, allocated during backward()
-        self._parents = tuple(parents)
-        self._backward = backward
-        self._param = None  # set when this tensor is a Parameter's value
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype})"
-
-
-def _f64(t: Tensor) -> np.ndarray:
-    # float32 -> float64 widening is exact, so backward passes may recast freely
-    return t.data.astype(np.float64, copy=False)
-
-
-def _out_dtype(*ts: Tensor):
-    if all(t.data.dtype == np.float64 for t in ts):
-        return np.float64
-    return np.float32
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros(t.data.shape, dtype=np.float64)
-    t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to `shape` after a broadcasting forward op."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; inputs of equal rank >= 2, leading batch dims equal.
-
-    The inner-dimension sum is accumulated in float64 and rounded once to the
-    working dtype, which makes the result independent of kernel blocking and
-    equal to a strictly-ordered scalar loop at float32 resolution.
-    """
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) < 2 or len(sa) != len(sb) or sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
-        raise ValueError(f"matmul shape mismatch: {sa} x {sb}")
-    out = np.matmul(_f64(a), _f64(b))
-
-    def back(g):
-        _accumulate(a, np.matmul(g, np.swapaxes(_f64(b), -1, -2)))
-        _accumulate(b, np.matmul(np.swapaxes(_f64(a), -1, -2), g))
-
-    return Tensor(out.astype(_out_dtype(a, b), copy=False), (a, b), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
-    out = a.data + b.data
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out, (a, b), back)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * a.data.dtype.type(s)
-
-    def back(g):
-        _accumulate(a, g * float(s))
-
-    return Tensor(out, (a,), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`a @ b` with numpy's broadcasting rules; raises ValueError on a
+    shape mismatch."""
+    return np.matmul(a, b, out=out)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) * (x + 0.044715 * x^3)), as x*x*x, in a new array."""
+    t = x * x
+    t *= _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    x64 = _f64(x)
-    t = np.tanh(_GELU_C * (x64 + 0.044715 * x64 ** 3))
-    out = 0.5 * x64 * (1.0 + t)
-
-    def back(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x64 * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x64 ** 2)
-        _accumulate(x, g * d)
-
-    return Tensor(out.astype(x.data.dtype, copy=False), (x,), back)
+    t = _gelu_tanh(x)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted, float64 accumulation.
-
-    Output entries are clamped up to the dtype's smallest normal so every
-    probability stays strictly positive even for extreme logits; row sums stay
-    within 1e-6 of 1. The backward pass uses the exact pre-clamp softmax.
-    """
-    x64 = _f64(x)
-    m = x64.max(axis=-1, keepdims=True)
-    e = np.exp(x64 - m)
-    p64 = e / e.sum(axis=-1, keepdims=True)
-    dt = x.data.dtype
-    p = p64.astype(dt, copy=True)
-    np.maximum(p, np.finfo(dt).tiny, out=p)
-
-    def back(g):
-        gp = (g * p64).sum(axis=-1, keepdims=True)
-        _accumulate(x, p64 * (g - gp))
-
-    return Tensor(p, (x,), back)
+def gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * gelu'(x), recomputing the tanh from the pre-activation x."""
+    t = _gelu_tanh(x)
+    d = x * x
+    d *= 3.0 * _GELU_A * _GELU_C
+    d += _GELU_C
+    d *= x
+    d *= 0.5
+    d *= 1.0 - t * t          # 0.5 * x * sech^2 * c * (1 + 3a x^2)
+    t += 1.0
+    t *= 0.5
+    d += t                    # + 0.5 * (1 + tanh)
+    d *= g
+    return d
 
 
-def log(x: Tensor) -> Tensor:
-    """Natural log; caller guarantees positive input (softmax output here)."""
-    x64 = _f64(x)
-    out = np.log(x64)
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted, in a new array.
 
-    def back(g):
-        _accumulate(x, g / x64)
-
-    return Tensor(out.astype(x.data.dtype, copy=False), (x,), back)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = np.reshape(x.data, shape)
-
-    def back(g):
-        _accumulate(x, g.reshape(x.data.shape))
-
-    return Tensor(out, (x,), back)
+    Entries are clamped up to the dtype's smallest normal, so every
+    probability stays strictly positive (and its log finite) even for extreme
+    logits; row sums stay within 1e-6 of 1."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return np.maximum(e, np.finfo(e.dtype).tiny, out=e)
 
 
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = np.transpose(x.data, axes)
-
-    def back(g):
-        _accumulate(x, np.transpose(g, inv))
-
-    return Tensor(out, (x,), back)
-
-
-def last_position(x: Tensor) -> Tensor:
-    """Select index -1 along axis 1: (B, c, h) -> (B, h)."""
-    out = np.ascontiguousarray(x.data[:, -1, :])
-
-    def back(g):
-        buf = np.zeros(x.data.shape, dtype=np.float64)
-        buf[:, -1, :] = g
-        _accumulate(x, buf)
-
-    return Tensor(out, (x,), back)
-
-
-def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
+def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row lookup: table (n, d), idx any int shape -> (idx.shape + (d,))."""
-    idx = np.asarray(idx)
-    out = table.data[idx]
-
-    def back(g):
-        buf = np.zeros(table.data.shape, dtype=np.float64)
-        # unbuffered scatter-add; index order is fixed so accumulation is deterministic
-        np.add.at(buf, idx.ravel(), g.reshape(-1, table.data.shape[1]))
-        _accumulate(table, buf)
-
-    return Tensor(out, (table,), back)
-
-
-def take_per_row(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x (B, n), idx (B,) -> (B,) picking x[i, idx[i]]."""
-    idx = np.asarray(idx)
-    rows = np.arange(x.data.shape[0])
-    out = x.data[rows, idx]
-
-    def back(g):
-        buf = np.zeros(x.data.shape, dtype=np.float64)
-        buf[rows, idx] = g
-        _accumulate(x, buf)
-
-    return Tensor(out, (x,), back)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.mean(dtype=np.float64))
-
-    def back(g):
-        _accumulate(x, np.broadcast_to(g / x.data.size, x.data.shape))
-
-    return Tensor(out.astype(x.data.dtype), (x,), back)
-
-
-def backward(loss: Tensor) -> None:
-    """Propagate d(loss)/d(leaf) into every reachable Parameter's grad buffer.
-
-    Traversal order is a fixed depth-first post-order, so gradient
-    accumulation is deterministic. Node-level grads are float64 and freed
-    before returning; Parameter.grad accumulates across calls until the next
-    adam_step.
-    """
-    if loss.data.shape != ():
-        raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-    for node in topo:
-        if node._param is not None and node.grad is not None:
-            node._param.grad += node.grad
-        node.grad = None
+    return table[idx]
 
 
 class Parameter:
-    """A trainable tensor with its gradient buffer and Adam moment state.
+    """A trainable array with its gradient, Adam moments and Adam scratch.
 
-    value/m/v share the model dtype; grad is float64 because fan-out gradient
-    accumulation is a reduction. All state starts at zero except value.
-    """
+    All five arrays share the value's dtype and are allocated once, here;
+    training updates them in place, so `value` keeps its identity. State
+    starts at zero except the value."""
 
-    __slots__ = ("value", "grad", "m", "v", "step_count")
+    __slots__ = ("value", "grad", "m", "v", "scratch", "step_count")
 
     def __init__(self, data):
         arr = np.array(data, copy=True)
@@ -292,40 +97,41 @@ class Parameter:
             arr = arr.astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise ValueError("parameter init contains non-finite values")
-        self.value = Tensor(arr)
-        self.value._param = self
-        self.grad = np.zeros(arr.shape, dtype=np.float64)
+        self.value = arr
+        self.grad = np.zeros_like(arr)
         self.m = np.zeros_like(arr)
         self.v = np.zeros_like(arr)
+        self.scratch = np.empty_like(arr)
         self.step_count = 0
-
-    @property
-    def shape(self):
-        return self.value.data.shape
-
-    @property
-    def size(self):
-        return self.value.data.size
 
 
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Bias-corrected Adam on every parameter; zeroes grads, bumps step_count."""
+    """Bias-corrected Adam on every parameter, in place; zeroes grads, bumps
+    step_count.
+
+    The bias corrections are folded into the step size and epsilon (Kingma &
+    Ba, section 2): lr*sqrt(1-b2^t)/(1-b1^t) * m / (sqrt(v) + eps*sqrt(1-b2^t)),
+    which equals lr * mhat / (sqrt(vhat) + eps)."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     for p in params:
         t = p.step_count + 1
-        dt = p.m.dtype.type
-        g = p.grad.astype(p.m.dtype, copy=False)
-        p.m *= dt(beta1)
-        p.m += dt(1.0 - beta1) * g
-        p.v *= dt(beta2)
-        p.v += dt(1.0 - beta2) * (g * g)
-        # correction scalars in float64, applied in the state dtype
-        mhat = p.m / dt(1.0 - beta1 ** t)
-        vhat = p.v / dt(1.0 - beta2 ** t)
-        p.value.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(eps))
-        p.grad.fill(0.0)
+        root_c2 = math.sqrt(1.0 - beta2 ** t)
+        g, m, v, s = p.grad, p.m, p.v, p.scratch
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.sqrt(v, out=s)
+        s += eps * root_c2
+        np.divide(m, s, out=s)
+        s *= lr * root_c2 / (1.0 - beta1 ** t)
+        p.value -= s
+        g.fill(0.0)
         p.step_count = t
 
 

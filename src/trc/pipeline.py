@@ -10,15 +10,18 @@ in whether a byte is encoded from the input or decoded into the output,
 so the model trajectories match and no weights are ever stored.
 
 Replay contract: decoding repeats the encoder's float computation bit for
-bit only on the same numpy/BLAS build and kernel family. Where that breaks,
-the decoded bytes fail the data checksum and decompress raises
-ChecksumMismatchError; it never returns wrong bytes.
+bit only on the same numpy/BLAS build and kernel family. The model trains
+in float32 with plain sgemm, whose blocking and summation order are the
+kernel's own, so another kernel family (say, AVX2 against AVX-512) can round
+differently. Where that breaks, the decoded bytes fail the data checksum
+and decompress raises ChecksumMismatchError; it never returns wrong bytes.
 
-Container layout, version 2 (little-endian, fixed width, 50 bytes, payload
+Container layout, version 3 (little-endian, fixed width, 50 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
 controller u8, cache u16, seed u64, original_length u64, data crc32 u32
-(of the original bytes), payload crc32 u32.
+(of the original bytes), payload crc32 u32. Version 2 had the same layout
+but trained with float64 accumulation, so its payloads do not replay here.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from .coder import (MAX_OVERDRAW, Decoder, Encoder, ExhaustedStreamError,
                     QuantizedDistribution, UNIFORM, quantize)
 from .controller import DecisionStats, LossCache, should_backprop
 from .controller import skip_fraction as _skip_fraction
-from .model import ModelConfig, TraceModel, forward_probs, nll_loss
-from .nn import adam_step, backward
+from .model import ModelConfig, TraceModel, backward, check_size, forward_probs, nll_loss
+from .nn import adam_step
 
 MAGIC = b"TRCE"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sB7HfBHQQII")
 HEADER_SIZE = _HEADER.size
 CHUNK_STEPS = 256
@@ -108,6 +111,7 @@ class ContainerHeader:
         try:
             config = ModelConfig(hidden_dim=h, ffn_dim=ffn, group_size=g,
                                  context_len=c, shared_ffn_repeats=n, num_heads=heads)
+            check_size(config)
         except ValueError as exc:
             raise ContainerError(f"bad model shape: {exc}") from exc
         if lanes < 1 or cache < 1:
@@ -271,18 +275,17 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
     bits_mark, chunk_start = metrics.warmup_bits, time.perf_counter()
     for s in range(max_steps):
         pos = starts[main_lens > s] + s
-        probs_tensor = forward_probs(model, buf[pos[:, None] + cols].astype(np.int64))
-        for p, i in zip(probs_tensor.data, pos.tolist()):
+        probs = forward_probs(model, buf[pos[:, None] + cols].astype(np.int64))
+        for p, i in zip(probs, pos.tolist()):
             q = quantize(p)
             sym = code(i, q)
             if probe is not None:
                 probe.observe(q, sym)
-        loss = nll_loss(probs_tensor, buf[pos].astype(np.int64))
-        e = float(loss.data)
+        e, dlogits = nll_loss(probs, buf[pos].astype(np.int64))
         update = should_backprop(cache, e) if header.controller_enabled else True
         stats.record(update)
         if update:
-            backward(loss)
+            backward(model, dlogits)
             adam_step(params, header.lr)
         steps += 1
         coded += len(pos)
@@ -311,6 +314,7 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
     encoder optimizes with that exact value, so the decoder's replay is
     bit-identical."""
     _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps)
+    check_size(config)
     lr32 = float(np.float32(lr))
     if not lr32 > 0.0:
         raise ValueError(f"learning rate {lr} rounds to zero in float32")

@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference oracle and a seeded text generator."""
+"""Shared test helpers: finite-difference oracle, a float64 model for
+gradient checks, and a seeded text generator."""
 
 from __future__ import annotations
 
@@ -28,6 +29,18 @@ def numeric_grad(loss_fn, arrays, step=1e-3):
             gflat[i] = (hi - lo) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def float64_model(config, seed):
+    """TraceModel(config, seed) with every parameter widened to float64, so
+    the whole forward and backward run in float64."""
+    from trc.model import _INIT_ORDER, TraceModel
+    from trc.nn import Parameter
+
+    model = TraceModel(config, seed)
+    for name in _INIT_ORDER:
+        setattr(model, name, Parameter(getattr(model, name).value.astype(np.float64)))
+    return model
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-6):

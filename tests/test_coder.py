@@ -103,6 +103,30 @@ def test_quantize_rejects_bad_input():
         quantize(np.full(128, 1.0 / 128.0))
 
 
+def test_quantize_output_passes_full_validation():
+    # quantize builds its result without QuantizedDistribution's checks, so
+    # every output must pass them: random, near-one-hot, and sums off by
+    # just under the 1e-4 quantize allows, in float64 and float32
+    rng = np.random.default_rng(19)
+    inputs = []
+    for _ in range(200):
+        raw = rng.random(256) + 1e-9
+        inputs.append(raw / raw.sum())
+    for hot in rng.integers(0, 256, 50):
+        p = np.full(256, 1e-12)
+        p[hot] = 1.0 - 255e-12
+        inputs.append(p)
+    for sign in (1.0, -1.0):
+        for _ in range(50):
+            raw = rng.random(256) ** 8 + 1e-9
+            inputs.append(raw / raw.sum() * (1.0 + sign * 0.99e-4))
+    inputs += [p.astype(np.float32) for p in inputs[::5]]
+    for p in inputs:
+        q = quantize(p)
+        full = QuantizedDistribution(q.freq)
+        assert np.array_equal(full.cum, q.cum)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 

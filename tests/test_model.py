@@ -1,7 +1,9 @@
 """Model contracts: grouping embeds, attention, the shared FFN, prediction.
 
 Oracles: a step-by-step scalar attention computation, an unrolled tied-weight
-FFN, the zero-logit uniform case, and finite differences end to end.
+FFN, the zero-logit uniform case, the full-sequence float64 layer, and
+finite differences end to end in float64 (with float32 held to the float64
+gradients within a tolerance set from float32 epsilon).
 """
 
 import dataclasses
@@ -10,18 +12,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, numeric_grad
-from oracles import attention, embed_groups, predict, transformer_layer
+from conftest import assert_grads_close, float64_model, numeric_grad
+from oracles import (attention, embed_groups, ffn, full_sequence_probs, predict,
+                     transformer_layer)
 from trc.model import (
     ModelConfig,
     TraceModel,
     VOCAB,
-    _ffn,
+    backward,
     forward_probs,
     nll_loss,
     parameter_count,
 )
-from trc.nn import Tensor, adam_step, backward
+from trc.nn import adam_step
 
 TINY = ModelConfig(hidden_dim=16, ffn_dim=32, group_size=2, context_len=4,
                    shared_ffn_repeats=2, num_heads=2)
@@ -103,13 +106,13 @@ def test_same_seed_bit_identical_weights():
     a = TraceModel(TINY, seed=77)
     b = TraceModel(TINY, seed=77)
     for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa.value.data, pb.value.data)
+        assert np.array_equal(pa.value, pb.value)
 
 
 def test_different_seeds_differ():
     a = TraceModel(TINY, seed=77)
     b = TraceModel(TINY, seed=78)
-    assert not np.array_equal(a.byte_embedding.value.data, b.byte_embedding.value.data)
+    assert not np.array_equal(a.byte_embedding.value, b.byte_embedding.value)
 
 
 def test_init_respects_glorot_bounds():
@@ -117,7 +120,7 @@ def test_init_respects_glorot_bounds():
     for p in model.parameters():
         fan_in, fan_out = p.value.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        data = p.value.data
+        data = p.value
         assert data.dtype == np.float32
         assert np.all(np.abs(data) < bound)
         # a draw this wide that stayed in a half-range would be astronomically unlucky
@@ -132,20 +135,20 @@ def test_init_respects_glorot_bounds():
 def test_embed_groups_shape_default_config():
     model = TraceModel(ModelConfig(), seed=1)
     out = embed_groups(bytes(range(32)), model)
-    assert out.data.shape == (8, 256)
+    assert out.shape == (8, 256)
 
 
 def test_embed_groups_concatenates_in_byte_order():
     model = TraceModel(TINY, seed=9)
     history = bytes([10, 20, 30, 40, 50, 60, 70, 80])
     out = embed_groups(history, model)
-    emb = model.byte_embedding.value.data
-    pos = model.positional_embedding.value.data
+    emb = model.byte_embedding.value.astype(np.float64)
+    pos = model.positional_embedding.value
     want = np.stack([
         np.concatenate([emb[history[2 * j]], emb[history[2 * j + 1]]])
         for j in range(4)
     ]) + pos
-    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(out, want)
 
 
 def test_embed_groups_g1_is_per_byte_embedding():
@@ -154,9 +157,9 @@ def test_embed_groups_g1_is_per_byte_embedding():
     model = TraceModel(cfg, seed=4)
     history = bytes([5, 0, 255, 17])
     out = embed_groups(history, model)
-    want = (model.byte_embedding.value.data[list(history)]
-            + model.positional_embedding.value.data)
-    np.testing.assert_array_equal(out.data, want)
+    want = (model.byte_embedding.value[list(history)].astype(np.float64)
+            + model.positional_embedding.value)
+    np.testing.assert_array_equal(out, want)
 
 
 def test_embed_groups_locality_of_byte_zero():
@@ -164,8 +167,8 @@ def test_embed_groups_locality_of_byte_zero():
     h1 = bytearray(range(8))
     h2 = bytearray(h1)
     h2[0] = 200
-    a = embed_groups(bytes(h1), model).data
-    b = embed_groups(bytes(h2), model).data
+    a = embed_groups(bytes(h1), model)
+    b = embed_groups(bytes(h2), model)
     assert not np.array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1:], b[1:])
 
@@ -189,8 +192,8 @@ def test_attention_single_position_collapses():
                       num_heads=2)
     model = TraceModel(cfg, seed=6)
     x = np.random.default_rng(0).standard_normal((1, 8)).astype(np.float32)
-    out = attention(Tensor(x), model).data
-    want = x @ model.wv.value.data @ model.wo.value.data
+    out = attention(x, model)
+    want = x @ model.wv.value @ model.wo.value
     np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-7)
 
 
@@ -198,7 +201,7 @@ def test_attention_identical_rows_give_identical_rows():
     model = TraceModel(TINY, seed=8)
     row = np.random.default_rng(1).standard_normal(16).astype(np.float32)
     x = np.tile(row, (4, 1))
-    out = attention(Tensor(x), model).data
+    out = attention(x, model)
     for i in range(1, 4):
         np.testing.assert_array_equal(out[i], out[0])
 
@@ -209,21 +212,21 @@ def test_attention_matches_scalar_oracle():
     model = TraceModel(cfg, seed=11)
     rng = np.random.default_rng(12)
     for p in (model.wq, model.wk, model.wv, model.wo):
-        p.value.data[:] = rng.standard_normal((4, 4)).astype(np.float32)
+        p.value[:] = rng.standard_normal((4, 4)).astype(np.float32)
     x32 = rng.standard_normal((2, 4)).astype(np.float32)
 
     x = x32.astype(np.float64)
-    q = x @ model.wq.value.data.astype(np.float64)
-    k = x @ model.wk.value.data.astype(np.float64)
-    v = x @ model.wv.value.data.astype(np.float64)
+    q = x @ model.wq.value.astype(np.float64)
+    k = x @ model.wk.value.astype(np.float64)
+    v = x @ model.wv.value.astype(np.float64)
     scores = q @ k.T / math.sqrt(4.0)
     probs = np.empty_like(scores)
     for i in range(2):
         e = np.exp(scores[i] - scores[i].max())
         probs[i] = e / e.sum()
-    want = probs @ v @ model.wo.value.data.astype(np.float64)
+    want = probs @ v @ model.wo.value.astype(np.float64)
 
-    got = attention(Tensor(x32), model).data
+    got = attention(x32, model)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
@@ -235,8 +238,8 @@ def test_attention_multihead_differs_from_single_head():
     m2 = TraceModel(cfg2, seed=13)
     m1 = TraceModel(cfg1, seed=13)
     x = np.random.default_rng(2).standard_normal((4, 16)).astype(np.float32)
-    a2 = attention(Tensor(x), m2).data
-    a1 = attention(Tensor(x), m1).data
+    a2 = attention(x, m2)
+    a1 = attention(x, m1)
     assert not np.allclose(a1, a2)
 
 
@@ -248,35 +251,33 @@ def test_layer_zero_ffn_is_attention_residual():
     for repeats in (1, 3):
         cfg = dataclasses.replace(TINY, shared_ffn_repeats=repeats)
         model = TraceModel(cfg, seed=14)
-        model.w1.value.data[:] = 0.0
-        model.w2.value.data[:] = 0.0
-        x = Tensor(np.random.default_rng(3).standard_normal((4, 16)).astype(np.float32))
-        out = transformer_layer(x, model).data
-        want = attention(x, model).data + x.data
+        model.w1.value[:] = 0.0
+        model.w2.value[:] = 0.0
+        x = np.random.default_rng(3).standard_normal((4, 16))
+        out = transformer_layer(x, model)
+        want = attention(x, model) + x
         np.testing.assert_array_equal(out, want)
 
 
 def test_layer_n1_composes_single_ffn_residual():
     cfg = dataclasses.replace(TINY, shared_ffn_repeats=1)
     model = TraceModel(cfg, seed=15)
-    x = Tensor(np.random.default_rng(4).standard_normal((4, 16)).astype(np.float32))
-    out = transformer_layer(x, model).data
-    from trc.nn import add
-    a = add(attention(x, model), x)
-    want = add(_ffn(a, model), a).data
+    x = np.random.default_rng(4).standard_normal((4, 16))
+    out = transformer_layer(x, model)
+    a = attention(x, model) + x
+    want = ffn(a, model) + a
     np.testing.assert_array_equal(out, want)
 
 
 def test_layer_n2_equals_unrolled_tied_ffn():
     model = TraceModel(TINY, seed=16)
     assert model.config.shared_ffn_repeats == 2
-    x = Tensor(np.random.default_rng(5).standard_normal((4, 16)).astype(np.float32))
-    out = transformer_layer(x, model).data
-    from trc.nn import add
-    a = add(attention(x, model), x)
-    y1 = add(_ffn(a, model), a)
-    y2 = add(_ffn(y1, model), y1)
-    np.testing.assert_array_equal(out, y2.data)
+    x = np.random.default_rng(5).standard_normal((4, 16))
+    out = transformer_layer(x, model)
+    a = attention(x, model) + x
+    y1 = ffn(a, model) + a
+    y2 = ffn(y1, model) + y1
+    np.testing.assert_array_equal(out, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def test_predict_is_valid_distribution():
 
 def test_predict_zero_head_is_exactly_uniform():
     model = TraceModel(TINY, seed=23)
-    model.output_head.value.data[:] = 0.0
+    model.output_head.value[:] = 0.0
     p = predict(bytes(8), model)
     assert np.all(p == p[0])
     np.testing.assert_allclose(p, 1.0 / 256.0, rtol=1e-7)
@@ -325,12 +326,7 @@ def test_predict_matches_full_layer_path():
     model = TraceModel(TINY, seed=26)
     history = bytes([3, 1, 4, 1, 5, 9, 2, 6])
     fast = predict(history, model)
-
-    from trc.nn import matmul, softmax_rows
-    x = embed_groups(history, model)
-    y = transformer_layer(x, model)
-    logits = matmul(y, model.output_head.value)
-    full = softmax_rows(logits).data[-1].astype(np.float64)
+    full = full_sequence_probs(history, model)[-1]
     np.testing.assert_allclose(fast, full, rtol=1e-5, atol=1e-8)
 
 
@@ -338,9 +334,9 @@ def test_forward_probs_consistent_across_batch_sizes():
     model = TraceModel(TINY, seed=27)
     rng = np.random.default_rng(6)
     histories = rng.integers(0, 256, (3, 8), dtype=np.int64)
-    batched = forward_probs(model, histories).data
+    batched = forward_probs(model, histories)
     for i in range(3):
-        single = forward_probs(model, histories[i:i + 1]).data[0]
+        single = forward_probs(model, histories[i:i + 1])[0]
         np.testing.assert_allclose(batched[i], single, rtol=1e-5, atol=1e-8)
 
 
@@ -358,8 +354,8 @@ def test_predict_memorizes_repeating_stream():
     windows = np.array([[a, b] * 4, [b, a] * 4], dtype=np.int64)
     targets = np.array([a, b], dtype=np.int64)
     for _ in range(500):
-        loss = nll_loss(forward_probs(model, windows), targets)
-        backward(loss)
+        _, dlogits = nll_loss(forward_probs(model, windows), targets)
+        backward(model, dlogits)
         adam_step(model.parameters(), lr=0.01)
     p0 = predict(bytes([a, b] * 4), model)
     p1 = predict(bytes([b, a] * 4), model)
@@ -375,26 +371,28 @@ def test_full_model_gradcheck_tiny_config():
     run_model_gradcheck(TINY, seed=31)
 
 
+def test_full_model_gradcheck_single_head_ungrouped_config():
+    run_model_gradcheck(dataclasses.replace(TINY, shared_ffn_repeats=1, group_size=1,
+                                            num_heads=1), seed=32)
+
+
 def run_model_gradcheck(cfg, seed):
     """Every parameter gradient vs central finite differences, all in f64."""
-    model = TraceModel(cfg, seed=seed)
-    for p in model.parameters():
-        p.value.data = p.value.data.astype(np.float64)
+    model = float64_model(cfg, seed)
     rng = np.random.default_rng(seed)
     histories = rng.integers(0, 256, (2, cfg.window), dtype=np.int64)
     targets = rng.integers(0, 256, 2, dtype=np.int64)
 
     def loss_value():
-        return float(nll_loss(forward_probs(model, histories), targets).data)
+        return nll_loss(forward_probs(model, histories), targets)[0]
 
-    loss = nll_loss(forward_probs(model, histories), targets)
-    backward(loss)
+    _, dlogits = nll_loss(forward_probs(model, histories), targets)
+    backward(model, dlogits)
 
     used_rows = np.unique(histories)
     for p, name in zip(model.parameters(), ("emb", "pos", "wq", "wk", "wv",
                                             "wo", "w1", "w2", "head")):
         analytic = p.grad.copy()
-        p.grad[:] = 0.0
         if name == "emb":
             # untouched vocabulary rows: gradient must be exactly zero
             mask = np.ones(256, dtype=bool)
@@ -404,7 +402,7 @@ def run_model_gradcheck(cfg, seed):
             # fancy indexing copies, so finite differences run on the live rows
             numeric = np.zeros_like(sub_analytic)
             flat = numeric.reshape(-1)
-            live = p.value.data
+            live = p.value
             k = 0
             for r in used_rows:
                 for cidx in range(live.shape[1]):
@@ -418,5 +416,27 @@ def run_model_gradcheck(cfg, seed):
                     k += 1
             assert_grads_close(sub_analytic, numeric)
         else:
-            numeric = numeric_grad(loss_value, [p.value.data], step=1e-3)[0]
+            numeric = numeric_grad(loss_value, [p.value], step=1e-3)[0]
             assert_grads_close(analytic, numeric)
+
+
+def test_float32_step_gradients_track_float64():
+    # One step's gradients at the production dtype against the same step in
+    # float64. Each float32 operation rounds to eps32 relative and the
+    # backward chains about a dozen of them, so 32 eps32 of each parameter's
+    # largest gradient bounds the difference (about 3 eps32 is typical).
+    cfg = ModelConfig(hidden_dim=32, ffn_dim=64, group_size=2, context_len=4,
+                      shared_ffn_repeats=2, num_heads=4)
+    m32 = TraceModel(cfg, seed=33)
+    m64 = float64_model(cfg, seed=33)
+    rng = np.random.default_rng(33)
+    histories = rng.integers(0, 256, (16, cfg.window), dtype=np.int64)
+    targets = rng.integers(0, 256, 16, dtype=np.int64)
+    tol = 32 * np.finfo(np.float32).eps
+    for model in (m32, m64):
+        _, dlogits = nll_loss(forward_probs(model, histories), targets)
+        backward(model, dlogits)
+    np.testing.assert_allclose(m32.saved.probs, m64.saved.probs, rtol=tol, atol=0)
+    for p32, p64 in zip(m32.parameters(), m64.parameters()):
+        assert p32.grad.dtype == np.float32
+        assert np.abs(p32.grad - p64.grad).max() <= tol * np.abs(p64.grad).max()

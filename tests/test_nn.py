@@ -1,38 +1,32 @@
-"""Tensor ops, autodiff, Adam, and the PRNG.
+"""Array kernels, the hand-written backward, Adam, and the PRNG.
 
 Ground truth comes from in-test oracles: a scalar triple-loop matmul, closed
-forms for softmax and gelu, and central finite differences for every backward
-pass.
+forms for softmax and gelu, and central finite differences in float64 for
+each part of the model's backward.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, numeric_grad
+from conftest import assert_grads_close, float64_model, numeric_grad
 from oracles import rng_uniform
+from trc.model import ModelConfig, backward, forward_probs, nll_loss
 from trc.nn import (
     Parameter,
     Rng64,
-    Tensor,
     adam_step,
-    add,
-    backward,
     fill_uniform,
     gather_rows,
     gelu,
-    last_position,
-    log,
     matmul,
-    mean_all,
-    neg,
-    reshape,
-    scale,
     softmax_rows,
-    take_per_row,
-    transpose,
 )
+
+SMALL = ModelConfig(hidden_dim=8, ffn_dim=12, group_size=2, context_len=3,
+                    shared_ffn_repeats=2, num_heads=2)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -79,225 +73,211 @@ def splitmix_oracle(state):
 
 
 def test_matmul_matches_triple_loop_exactly():
+    # small integers: every product and partial sum is exact in float32, so
+    # any summation order the kernel picks gives the oracle's bits
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 7), dtype=np.float32)
-    b = rng.standard_normal((7, 3), dtype=np.float32)
-    got = matmul(Tensor(a), Tensor(b)).data
+    a = rng.integers(-8, 9, (5, 7)).astype(np.float32)
+    b = rng.integers(-8, 9, (7, 3)).astype(np.float32)
+    got = matmul(a, b)
     want = matmul_oracle(a, b)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
+    assert np.array_equal(matmul(np.asfortranarray(a), b), want)  # transposed-layout path
 
 
 def test_matmul_batched_matches_per_slice():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 3, 6), dtype=np.float32)
     b = rng.standard_normal((4, 6, 2), dtype=np.float32)
-    got = matmul(Tensor(a), Tensor(b)).data
+    got = matmul(a, b)
     for i in range(4):
-        want = matmul(Tensor(a[i]), Tensor(b[i])).data
+        want = matmul(a[i], b[i])
         assert np.array_equal(got[i], want)
 
 
 def test_matmul_shape_mismatch_raises():
-    a = Tensor(np.zeros((2, 3), dtype=np.float32))
-    b = Tensor(np.zeros((4, 2), dtype=np.float32))
+    a = np.zeros((2, 3), dtype=np.float32)
+    b = np.zeros((4, 2), dtype=np.float32)
     with pytest.raises(ValueError):
         matmul(a, b)
 
 
 def test_gelu_closed_form_points():
     x = np.array([0.0, 1.0, -1.0, 10.0, -10.0, 0.5], dtype=np.float64)
-    got = gelu(Tensor(x)).data
+    got = gelu(x)
     want = np.array([gelu_oracle(v) for v in x])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assert got[0] == 0.0
     assert abs(got[1] - 0.8411919906082768) < 1e-12
     np.testing.assert_allclose(got[3], 10.0, rtol=1e-9)
     assert abs(got[4]) < 1e-7
+    got32 = gelu(x.astype(np.float32))
+    assert got32.dtype == np.float32
+    np.testing.assert_allclose(got32, want, rtol=1e-6, atol=1e-7)
 
 
 def test_softmax_uniform_and_shifted_rows():
-    x = Tensor(np.array([[0.0, 0.0, 0.0, 0.0], [5.0, 5.0, 5.0, 5.0]], dtype=np.float32))
-    p = softmax_rows(x).data
+    x = np.array([[0.0, 0.0, 0.0, 0.0], [5.0, 5.0, 5.0, 5.0]], dtype=np.float32)
+    p = softmax_rows(x)
     np.testing.assert_allclose(p, 0.25, rtol=1e-6)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
 
 
 def test_softmax_known_ratio():
-    x = Tensor(np.array([[math.log(2.0), 0.0]], dtype=np.float64))
-    p = softmax_rows(x).data
+    x = np.array([[math.log(2.0), 0.0]], dtype=np.float64)
+    p = softmax_rows(x)
     np.testing.assert_allclose(p, [[2.0 / 3.0, 1.0 / 3.0]], rtol=1e-12)
 
 
 def test_softmax_extreme_logits_stay_positive_and_finite():
-    x = Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]], dtype=np.float32))
-    p = softmax_rows(x).data
+    x = np.array([[1000.0, 0.0], [-1000.0, 0.0]], dtype=np.float32)
+    p = softmax_rows(x)
     assert np.all(np.isfinite(p))
     assert np.all(p > 0.0)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
     assert p[0, 0] > 0.999
     assert p[1, 1] > 0.999
+    assert np.all(np.isfinite(np.log(p)))
 
 
 def test_softmax_matches_oracle_random_rows():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 9)).astype(np.float64)
-    p = softmax_rows(Tensor(x)).data
+    p = softmax_rows(x)
     for i in range(6):
         np.testing.assert_allclose(p[i], softmax_oracle(x[i]), rtol=1e-12)
-
-
-def test_shape_ops_roundtrip_values():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 3, 4)).astype(np.float32)
-    t = Tensor(x)
-    assert np.array_equal(reshape(t, (6, 4)).data, x.reshape(6, 4))
-    assert np.array_equal(transpose(t, (0, 2, 1)).data, x.transpose(0, 2, 1))
-    assert np.array_equal(last_position(t).data, x[:, -1, :])
 
 
 def test_gather_and_take_forward():
     table = np.arange(20, dtype=np.float32).reshape(5, 4)
     idx = np.array([4, 0, 0, 2], dtype=np.int64)
-    out = gather_rows(Tensor(table), idx).data
+    out = gather_rows(table, idx)
     assert np.array_equal(out, table[idx])
 
-    probs = np.arange(12, dtype=np.float32).reshape(3, 4)
-    cols = np.array([1, 3, 0], dtype=np.int64)
-    got = take_per_row(Tensor(probs), cols).data
-    assert np.array_equal(got, np.array([1.0, 7.0, 8.0], dtype=np.float32))
-
-
-def test_reductions_and_scalar_ops():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64))
-    assert float(mean_all(x).data) == 2.5
-    assert np.array_equal(neg(x).data, -x.data)
-    assert np.array_equal(scale(x, 0.5).data, x.data * 0.5)
-    np.testing.assert_allclose(log(x).data, np.log(x.data), rtol=1e-15)
-
-
-def test_add_broadcasts_trailing_shape():
-    a = np.ones((2, 3, 4), dtype=np.float32)
-    b = np.arange(12, dtype=np.float32).reshape(3, 4)
-    out = add(Tensor(a), Tensor(b)).data
-    assert out.shape == (2, 3, 4)
-    assert np.array_equal(out, a + b)
+    # nll_loss takes each row's target probability
+    probs = np.array([[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]], dtype=np.float64)
+    loss, grad = nll_loss(probs, np.array([1, 2]))
+    assert loss == pytest.approx(-(math.log(0.25) + math.log(0.75)) / 2, rel=1e-15)
+    np.testing.assert_array_equal(grad, [[0.25, -0.375, 0.125], [0.0625, 0.0625, -0.125]])
 
 
 # ---------------------------------------------------------------------------
-# backward passes vs finite differences (all in float64)
+# the model's backward, part by part, vs finite differences (all in float64)
 
 
-def _fd_check(build_loss, shapes, seed, step=1e-3):
+def _fd_check(cfg, names, histories, targets, seed=0):
+    """Gradients backward writes for the named parameters vs central
+    differences of the loss."""
+    model = float64_model(cfg, seed)
+    histories = np.asarray(histories, dtype=np.int64)
+
+    def loss_value():
+        return nll_loss(forward_probs(model, histories), targets)[0]
+
+    _, dlogits = nll_loss(forward_probs(model, histories), targets)
+    backward(model, dlogits)
+    for name in names:
+        p = getattr(model, name)
+        numeric = numeric_grad(loss_value, [p.value])[0]
+        assert_grads_close(p.grad, numeric)
+    return model
+
+
+def _batch(cfg, b, seed):
     rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(s).astype(np.float64) for s in shapes]
-    params = [Parameter(a) for a in arrays]
-    loss = build_loss(params)
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    def run():
-        return float(build_loss(params).data)
-
-    numeric = numeric_grad(run, [p.value.data for p in params], step=step)
-    for a, n in zip(analytic, numeric):
-        assert_grads_close(a, n)
+    return (rng.integers(0, 256, (b, cfg.window), dtype=np.int64),
+            rng.integers(0, 256, b, dtype=np.int64))
 
 
 def test_backward_matmul_chain():
-    _fd_check(
-        lambda ps: mean_all(gelu(matmul(ps[0].value, ps[1].value))),
-        [(3, 4), (4, 2)],
-        seed=21,
-    )
+    # head and the shared FFN: matmul -> gelu -> matmul -> matmul
+    cfg = dataclasses.replace(SMALL, shared_ffn_repeats=1)
+    _fd_check(cfg, ("w1", "w2", "output_head"), *_batch(cfg, 3, 21))
 
 
 def test_backward_batched_matmul():
-    _fd_check(
-        lambda ps: mean_all(gelu(matmul(ps[0].value, ps[1].value))),
-        [(2, 3, 4), (2, 4, 3)],
-        seed=22,
-    )
+    # the per-head batched products of last-position attention
+    cfg = dataclasses.replace(SMALL, num_heads=4)
+    _fd_check(cfg, ("wq", "wk", "wv", "wo"), *_batch(cfg, 3, 22))
 
 
 def test_backward_softmax_log_take():
+    rng = np.random.default_rng(23)
+    logits = rng.standard_normal((3, 5))
     idx = np.array([2, 0, 1], dtype=np.int64)
 
-    def build(ps):
-        p = softmax_rows(ps[0].value)
-        return neg(mean_all(log(take_per_row(p, idx))))
+    def run():
+        return nll_loss(softmax_rows(logits), idx)[0]
 
-    _fd_check(build, [(3, 5)], seed=23)
+    _, analytic = nll_loss(softmax_rows(logits), idx)
+    assert_grads_close(analytic, numeric_grad(run, [logits])[0])
 
 
 def test_backward_add_broadcast():
-    def build(ps):
-        return mean_all(gelu(add(ps[0].value, ps[1].value)))
-
-    _fd_check(build, [(2, 3, 4), (3, 4)], seed=24)
+    # one positional table is added to every lane: its gradient sums them
+    _fd_check(SMALL, ("positional_embedding",), *_batch(SMALL, 4, 24))
 
 
 def test_backward_shape_ops():
-    def build(ps):
-        t = transpose(reshape(ps[0].value, (2, 3, 4)), (0, 2, 1))
-        return mean_all(gelu(last_position(t)))
-
-    _fd_check(build, [(6, 4)], seed=25)
+    # bytes grouped 4 to a position and 4 heads of width 2: the reshapes
+    # and transposes of both must route gradients to the right entries
+    cfg = dataclasses.replace(SMALL, group_size=4, num_heads=4)
+    _fd_check(cfg, ("wk", "wv", "wq"), *_batch(cfg, 2, 25))
 
 
 def test_backward_gather_accumulates_repeats():
-    idx = np.array([1, 1, 0, 3], dtype=np.int64)
-
-    def build(ps):
-        return mean_all(gelu(gather_rows(ps[0].value, idx)))
-
-    _fd_check(build, [(4, 3)], seed=26)
-
-
-def test_backward_scale_and_neg():
-    def build(ps):
-        return mean_all(scale(neg(gelu(ps[0].value)), 1.7))
-
-    _fd_check(build, [(4, 4)], seed=27)
-
-
-def test_backward_mean_gives_equal_shares():
-    p = Parameter(np.zeros((2, 2), dtype=np.float32))
-    backward(mean_all(p.value))
-    assert np.array_equal(p.grad, np.full((2, 2), 0.25))
-
-
-def test_backward_zero_scale_gives_zeros():
-    p = Parameter(np.ones((2, 2), dtype=np.float32))
-    backward(scale(mean_all(gelu(p.value)), 0.0))
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
-
-
-def test_backward_accumulates_across_calls():
-    p = Parameter(np.ones((2,), dtype=np.float32))
-    backward(mean_all(p.value))
-    backward(scale(mean_all(p.value), 2.0))
-    assert np.array_equal(p.grad, np.full((2,), 1.5))
-
-
-def test_backward_rejects_non_scalar():
-    p = Parameter(np.ones((2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        backward(gelu(p.value))
+    histories = np.array([[1, 7, 1, 1, 7, 1], [7, 7, 7, 1, 1, 1]])
+    model = _fd_check(SMALL, ("byte_embedding",), histories, np.array([1, 7]))
+    used = np.zeros(256, dtype=bool)
+    used[[1, 7]] = True
+    assert np.all(model.byte_embedding.grad[~used] == 0.0)
+    assert np.all(model.byte_embedding.grad[used] != 0.0)
 
 
 def test_diamond_reuse_sums_both_paths():
-    p = Parameter(np.array([0.7, -0.3], dtype=np.float64))
-    x = p.value
-    loss = mean_all(add(gelu(x), scale(x, 2.0)))
-    backward(loss)
+    # the FFN weights are used on three paths and each residual feeds two
+    cfg = dataclasses.replace(SMALL, shared_ffn_repeats=3)
+    _fd_check(cfg, ("w1", "w2"), *_batch(cfg, 2, 26))
 
-    def run():
-        x2 = p.value
-        return float(mean_all(add(gelu(x2), scale(x2, 2.0))).data)
 
-    numeric = numeric_grad(run, [p.value.data])
-    assert_grads_close(p.grad, numeric[0])
+def test_backward_mean_gives_equal_shares():
+    histories, targets = _batch(SMALL, 1, 27)
+    one = float64_model(SMALL, 0)
+    three = float64_model(SMALL, 0)
+    for model, reps in ((one, 1), (three, 3)):
+        _, dlogits = nll_loss(forward_probs(model, np.repeat(histories, reps, axis=0)),
+                              np.repeat(targets, reps))
+        backward(model, dlogits)
+    for p1, p3 in zip(one.parameters(), three.parameters()):
+        np.testing.assert_allclose(p3.grad, p1.grad, rtol=1e-12, atol=1e-15)
+
+
+def test_backward_zero_scale_gives_zeros():
+    model = float64_model(SMALL, 0)
+    _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 28)[0]), [3, 4])
+    backward(model, dlogits)
+    backward(model, 0.0 * dlogits)
+    for p in model.parameters():
+        assert np.array_equal(p.grad, np.zeros_like(p.grad))
+
+
+def test_backward_overwrites_across_calls():
+    model = float64_model(SMALL, 0)
+    _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 29)[0]), [3, 4])
+    backward(model, dlogits)
+    once = [p.grad.copy() for p in model.parameters()]
+    backward(model, dlogits)
+    for p, g in zip(model.parameters(), once):
+        assert np.array_equal(p.grad, g)
+
+
+def test_backward_rejects_mismatched_logit_grad():
+    model = float64_model(SMALL, 0)
+    with pytest.raises(ValueError):
+        backward(model, np.zeros((2, 256)))  # no forward pass yet
+    forward_probs(model, _batch(SMALL, 2, 30)[0])
+    with pytest.raises(ValueError):
+        backward(model, np.zeros((3, 256)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +291,9 @@ def test_parameter_rejects_non_finite():
 
 def test_adam_zero_grad_keeps_values():
     p = Parameter(np.array([1.0, -2.0], dtype=np.float32))
-    before = p.value.data.copy()
+    before = p.value.copy()
     adam_step([p], lr=0.01)
-    assert np.array_equal(p.value.data, before)
+    assert np.array_equal(p.value, before)
     assert p.step_count == 1
 
 
@@ -323,7 +303,7 @@ def test_adam_first_step_moves_by_lr():
     p = Parameter(np.zeros((3,), dtype=np.float32))
     p.grad[:] = 1.0
     adam_step([p], lr=0.05)
-    np.testing.assert_allclose(p.value.data, -0.05, rtol=1e-5)
+    np.testing.assert_allclose(p.value, -0.05, rtol=1e-5)
 
 
 def test_adam_constant_grad_many_steps():
@@ -332,7 +312,7 @@ def test_adam_constant_grad_many_steps():
         p.grad[:] = 2.0
         adam_step([p], lr=0.001)
     # each step with constant gradient moves about -lr
-    np.testing.assert_allclose(p.value.data, -0.05, rtol=1e-3)
+    np.testing.assert_allclose(p.value, -0.05, rtol=1e-3)
 
 
 def test_adam_clears_grads_and_counts_steps():
@@ -357,9 +337,9 @@ def test_adam_descends_quadratic():
     # minimize (x - 3)^2 by hand-fed gradients
     p = Parameter(np.array([0.0], dtype=np.float32))
     for _ in range(2000):
-        p.grad[:] = 2.0 * (float(p.value.data[0]) - 3.0)
+        p.grad[:] = 2.0 * (float(p.value[0]) - 3.0)
         adam_step([p], lr=0.05)
-    assert abs(float(p.value.data[0]) - 3.0) < 0.05
+    assert abs(float(p.value[0]) - 3.0) < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,18 @@ directions, and bit conservation in the metrics.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_text
-from trc.model import ModelConfig
+import trc
+from trc.model import MAX_PARAMETERS, ModelConfig, parameter_count
 from trc.pipeline import (
     BadMagicError,
     ChecksumMismatchError,
@@ -126,7 +131,7 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    for version in (1, 99):
+    for version in (1, 2, 99):
         good[4] = version
         with pytest.raises(UnsupportedVersionError):
             decompress(bytes(good))
@@ -140,6 +145,7 @@ _FIELD = {"hidden": 2, "group": 4, "lanes": 8, "lr": 9, "controller": 10,
     ("lanes", 0), ("cache", 0), ("hidden", 0), ("hidden", 15), ("group", 0),
     ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
     ("controller", 2), ("length", 1 << 62), ("length", 80_000),
+    ("hidden", 65534),  # a valid shape of about 1.7e10 parameters
 ])
 def test_unpack_rejects_bad_header_fields(field, value):
     good = compress(b"hello world", SMALL, seed=1, lanes=2).container
@@ -265,6 +271,32 @@ def test_compress_is_deterministic():
     assert a.container == b.container
 
 
+_COMPRESS_STDIN = """\
+import sys
+from trc.model import ModelConfig
+from trc.pipeline import compress
+config = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)
+sys.stdout.buffer.write(compress(sys.stdin.buffer.read(), config, seed=3, lanes=4).container)
+"""
+
+
+def test_replay_is_bit_identical_across_calls_and_processes():
+    # float32 sgemm carries the replay contract: the same input must give
+    # the same container however the process's buffers happen to be laid out
+    config = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)
+    data = synthetic_text(900, seed=12)
+    first = compress(data, config, seed=3, lanes=4).container
+    second = compress(data, config, seed=3, lanes=4).container
+    fresh = subprocess.run(
+        [sys.executable, "-c", _COMPRESS_STDIN], input=data, capture_output=True,
+        check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(trc.__file__).resolve().parent.parent)},
+    ).stdout
+    assert first == second == fresh
+    for container in (first, second, fresh):
+        assert decompress(container).data == data
+
+
 def test_different_seed_changes_container():
     data = synthetic_text(1500, seed=2)
     a = compress(data, SMALL, seed=1, lanes=4)
@@ -369,6 +401,13 @@ def test_compress_rejects_bad_arguments():
         compress(b"x", SMALL, seed=1, cache_capacity=0)
     with pytest.raises(ValueError):
         compress(b"x", SMALL, seed=1, chunk_steps=0)
+
+
+def test_compress_rejects_model_over_the_size_cap():
+    big = ModelConfig(hidden_dim=2048, ffn_dim=14336, group_size=1, num_heads=1)
+    assert MAX_PARAMETERS < parameter_count(big) < 2 * MAX_PARAMETERS
+    with pytest.raises(ValueError):
+        compress(b"x", big, seed=1)
 
 
 def test_compress_rejects_lr_that_vanishes_in_float32():
