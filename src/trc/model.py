@@ -29,12 +29,13 @@ from .nn import (
     gelu,
     gelu_backward,
     matmul,
+    scatter_rows,
     softmax_rows,
 )
 
 VOCAB = 256
 # Largest model a container may ask for: 64M scalars, 256 MB per float32
-# array and about 1.3 GB with gradient, Adam moments and scratch. The paper
+# array and about 1 GB with the gradient and both Adam moments. The paper
 # default has 2,443,264.
 MAX_PARAMETERS = 1 << 26
 
@@ -112,6 +113,7 @@ class _Saved(NamedTuple):
     merged: np.ndarray     # (B, h) heads concatenated, before W_O
     ys: np.ndarray         # (N, B, h) input of each FFN application
     us: np.ndarray         # (N, B, f) pre-GELU
+    ths: np.ndarray        # (N, B, f) the tanh inside each GELU
     acts: np.ndarray       # (N, B, f) post-GELU
     y: np.ndarray          # (B, h) input of the head
     probs: np.ndarray      # (B, 256)
@@ -187,14 +189,15 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
 
     ys = np.empty((n, b, h), dtype=y.dtype)
     us = np.empty((n, b, cfg.ffn_dim), dtype=y.dtype)
+    ths = np.empty_like(us)
     acts = np.empty_like(us)
     for i in range(n):
         ys[i] = y
         matmul(y, model.w1.value, out=us[i])
-        acts[i] = gelu(us[i])
+        acts[i] = gelu(us[i], ths[i])
         y = y + matmul(acts[i], model.w2.value)
     probs = softmax_rows(matmul(y, model.output_head.value))
-    model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, acts, y, probs)
+    model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, acts, y, probs)
     return probs
 
 
@@ -232,7 +235,8 @@ def backward(model: TraceModel, dlogits: np.ndarray) -> None:
     dus = np.empty_like(s.us)
     for i in reversed(range(cfg.shared_ffn_repeats)):
         dys[i] = dy
-        dus[i] = gelu_backward(s.us[i], dy @ model.w2.value.T)
+        np.matmul(dy, model.w2.value.T, out=dus[i])
+        gelu_backward(s.us[i], s.ths[i], dus[i])
         dy = dy + dus[i] @ model.w1.value.T
     np.matmul(s.acts.reshape(-1, ffn).T, dys.reshape(-1, h), out=model.w2.grad)
     np.matmul(s.ys.reshape(-1, h).T, dus.reshape(-1, ffn), out=model.w1.grad)
@@ -262,6 +266,4 @@ def backward(model: TraceModel, dlogits: np.ndarray) -> None:
     dx = dx.reshape(b, c, h)
     dx[:, -1] += dx_last
     np.sum(dx, axis=0, out=model.positional_embedding.grad)
-    emb = model.byte_embedding.grad
-    emb.fill(0.0)
-    np.add.at(emb, s.histories.reshape(-1), dx.reshape(-1, emb.shape[1]))
+    scatter_rows(model.byte_embedding.grad, s.histories, dx)

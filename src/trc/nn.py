@@ -26,43 +26,62 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(a, b, out=out)
 
 
+# Elementwise kernels that make many passes (adam_step, gelu_backward) walk
+# their arrays in slices of this many elements, so every array a slice
+# touches stays in cache across the passes: 256 KB each in float32.
+SLICE = 1 << 16
+
+
+def _slices(n: int):
+    """(lo, hi) bounds that cut n elements into runs of SLICE."""
+    for lo in range(0, n, SLICE):
+        yield lo, min(lo + SLICE, n)
+
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(sqrt(2/pi) * (x + 0.044715 * x^3)), as x*x*x, in a new array."""
-    t = x * x
+def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))),
+    in a new array.
+
+    The tanh is written into t (x's shape and dtype), which the caller keeps
+    for gelu_backward, so the backward pass does not recompute it."""
+    np.multiply(x, x, out=t)
     t *= _GELU_A
     t += 1.0
     t *= x
     t *= _GELU_C
-    return np.tanh(t, out=t)
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    t = _gelu_tanh(x)
-    t += 1.0
-    t *= x
-    t *= 0.5
-    return t
+def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> None:
+    """g *= gelu'(x), in place, given the pre-activation x and the tanh t
+    that gelu(x, t) wrote.
 
-
-def gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * gelu'(x), recomputing the tanh from the pre-activation x."""
-    t = _gelu_tanh(x)
-    d = x * x
-    d *= 3.0 * _GELU_A * _GELU_C
-    d += _GELU_C
-    d *= x
-    d *= 0.5
-    d *= 1.0 - t * t          # 0.5 * x * sech^2 * c * (1 + 3a x^2)
-    t += 1.0
-    t *= 0.5
-    d += t                    # + 0.5 * (1 + tanh)
-    d *= g
-    return d
+    gelu'(x) = 0.5*(1 + t) + 0.5*x*(1 - t^2)*c*(1 + 3a*x^2)
+             = (0.5 + 0.5*x*c*(1 + 3a*x^2)*(1 - t)) * (1 + t),
+    with c = sqrt(2/pi) and a = 0.044715: ten passes, run slice by slice."""
+    d = np.empty(min(x.size, SLICE), dtype=x.dtype)
+    e = np.empty_like(d)
+    xf, tf, gf = x.reshape(-1), t.reshape(-1), g.reshape(-1)
+    for lo, hi in _slices(x.size):
+        xs, ts, ds, es = xf[lo:hi], tf[lo:hi], d[:hi - lo], e[:hi - lo]
+        np.multiply(xs, xs, out=ds)
+        ds *= 1.5 * _GELU_A * _GELU_C
+        ds += 0.5 * _GELU_C
+        ds *= xs
+        np.subtract(1.0, ts, out=es)
+        ds *= es
+        ds += 0.5
+        np.add(ts, 1.0, out=es)
+        ds *= es
+        gf[lo:hi] *= ds
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -82,14 +101,31 @@ def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return table[idx]
 
 
-class Parameter:
-    """A trainable array with its gradient, Adam moments and Adam scratch.
+def scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """Backward of gather_rows: out (n, d) becomes the sum of the rows of g
+    (idx.shape + (d,)) that idx sends to each row, and zero where idx never
+    points. idx holds row numbers in [0, n).
 
-    All five arrays share the value's dtype and are allocated once, here;
+    A stable sort puts each row number's entries in one run, in input order,
+    and np.add.reduceat sums every run; for uint8 idx the sort is one radix
+    pass."""
+    flat = idx.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=out.shape[0])
+    present = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[present]
+    out.fill(0.0)
+    out[present] = np.add.reduceat(g.reshape(-1, out.shape[1])[order], starts, axis=0)
+
+
+class Parameter:
+    """A trainable array with its gradient and Adam moments.
+
+    All four arrays share the value's dtype and are allocated once, here;
     training updates them in place, so `value` keeps its identity. State
     starts at zero except the value."""
 
-    __slots__ = ("value", "grad", "m", "v", "scratch", "step_count")
+    __slots__ = ("value", "grad", "m", "v", "step_count")
 
     def __init__(self, data):
         arr = np.array(data, copy=True)
@@ -101,37 +137,51 @@ class Parameter:
         self.grad = np.zeros_like(arr)
         self.m = np.zeros_like(arr)
         self.v = np.zeros_like(arr)
-        self.scratch = np.empty_like(arr)
         self.step_count = 0
 
 
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Bias-corrected Adam on every parameter, in place; zeroes grads, bumps
-    step_count.
+    """Bias-corrected Adam on every parameter, in place; bumps step_count and
+    leaves the grads as they are.
 
-    The bias corrections are folded into the step size and epsilon (Kingma &
-    Ba, section 2): lr*sqrt(1-b2^t)/(1-b1^t) * m / (sqrt(v) + eps*sqrt(1-b2^t)),
-    which equals lr * mhat / (sqrt(vhat) + eps)."""
+    The moments are stored unscaled, m~ = m / (1-b1) and v~ = v / (1-b2):
+
+        m~ <- b1*m~ + g,    v~ <- b2*v~ + g^2.
+
+    Textbook Adam (Kingma & Ba, section 2) steps by lr * mhat / (sqrt(vhat) + eps)
+    with mhat = m / (1-b1^t) and vhat = v / (1-b2^t). Substituting, with
+    r = sqrt((1-b2^t) / (1-b2)):
+
+        lr * mhat / (sqrt(vhat) + eps) = k * m~ / (sqrt(v~) + eps'),
+        k = lr * (1-b1) / (1-b1^t) * r,    eps' = eps * r,
+
+    so every scale is folded into the two scalars k and eps', and each element
+    takes ten passes: two for m~, three for v~ (one squares g), then sqrt, add
+    eps', divide, scale by k and subtract from the value. They run slice by
+    slice, with one slice of scratch."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     for p in params:
         t = p.step_count + 1
-        root_c2 = math.sqrt(1.0 - beta2 ** t)
-        g, m, v, s = p.grad, p.m, p.v, p.scratch
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=s)
-        m += s
-        v *= beta2
-        np.multiply(g, g, out=s)
-        s *= 1.0 - beta2
-        v += s
-        np.sqrt(v, out=s)
-        s += eps * root_c2
-        np.divide(m, s, out=s)
-        s *= lr * root_c2 / (1.0 - beta1 ** t)
-        p.value -= s
-        g.fill(0.0)
+        r = math.sqrt((1.0 - beta2 ** t) / (1.0 - beta2))
+        k = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * r
+        eps_t = eps * r
+        value, grad, m, v = (a.reshape(-1) for a in (p.value, p.grad, p.m, p.v))
+        n = value.size
+        scratch = np.empty(min(n, SLICE), dtype=value.dtype)
+        for lo, hi in _slices(n):
+            g, mi, vi, s = grad[lo:hi], m[lo:hi], v[lo:hi], scratch[:hi - lo]
+            mi *= beta1
+            mi += g
+            vi *= beta2
+            np.multiply(g, g, out=s)
+            vi += s
+            np.sqrt(vi, out=s)
+            s += eps_t
+            np.divide(mi, s, out=s)
+            s *= k
+            value[lo:hi] -= s
         p.step_count = t
 
 
@@ -160,15 +210,23 @@ def fill_uniform(rng: Rng64, n: int, lo: float, hi: float) -> np.ndarray:
     """
     if not lo < hi:
         raise ValueError(f"empty range: lo={lo!r} must be < hi={hi!r}")
-    with np.errstate(over="ignore"):
-        steps = (np.arange(1, n + 1, dtype=np.uint64)
-                 * np.uint64(0x9E3779B97F4E1C15))
-        z = np.uint64(rng.state) + steps  # wraps mod 2^64 like the scalar path
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    r = lo + (hi - lo) * u
+    # z and t are the only arrays: the mixing runs in place in z, t takes each
+    # shifted copy and, at the end, becomes the float64 result. uint64 array
+    # arithmetic wraps mod 2^64 like the scalar path.
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4E1C15)
+    z += np.uint64(rng.state)
+    t = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    r = np.multiply(z, 2.0 ** -53, out=t.view(np.float64))
+    r *= hi - lo
+    r += lo
     np.minimum(r, math.nextafter(hi, -math.inf), out=r)
     rng.state = (rng.state + n * 0x9E3779B97F4E1C15) & _MASK64
     return r

@@ -16,12 +16,17 @@ kernel's own, so another kernel family (say, AVX2 against AVX-512) can round
 differently. Where that breaks, the decoded bytes fail the data checksum
 and decompress raises ChecksumMismatchError; it never returns wrong bytes.
 
-Container layout, version 3 (little-endian, fixed width, 50 bytes, payload
+Container layout, version 4 (little-endian, fixed width, 50 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
 controller u8, cache u16, seed u64, original_length u64, data crc32 u32
-(of the original bytes), payload crc32 u32. Version 2 had the same layout
-but trained with float64 accumulation, so its payloads do not replay here.
+(of the original bytes), payload crc32 u32. Versions 2 and 3 had the same
+layout but train differently in the last bits, so their payloads do not
+replay here. Version 2 accumulated in float64. Version 3 stored Adam's
+moments scaled by (1 - beta), arranged the GELU derivative differently and
+summed the byte-embedding gradient row by row with np.add.at; each of these
+rounds differently in float32 from version 4, so the trained weights, and
+with them every prediction after the first update, differ.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .model import ModelConfig, TraceModel, backward, check_size, forward_probs,
 from .nn import adam_step
 
 MAGIC = b"TRCE"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<4sB7HfBHQQII")
 HEADER_SIZE = _HEADER.size
 CHUNK_STEPS = 256
@@ -70,6 +75,14 @@ class ChecksumMismatchError(ContainerError):
 
 class TruncatedPayloadError(ContainerError):
     pass
+
+
+class ModelOverflowError(ContainerError):
+    """The replayed model's float arithmetic overflowed or went NaN.
+
+    compress stops with FloatingPointError at the same operation and writes
+    nothing, so only a damaged or forged header (say, a huge lr or a deep
+    shared FFN) leads here."""
 
 
 @dataclass(frozen=True)
@@ -241,6 +254,7 @@ def _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps):
         raise ValueError(f"chunk_steps must be positive, got {chunk_steps}")
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: int,
          probe: DistributionProbe | None) -> tuple[StreamMetrics, DecisionStats]:
     """The lane loop of both directions.
@@ -248,10 +262,10 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
     `code(i, q)` codes byte i of the file under q and returns it: the
     encoder reads it from `buf`, the decoder decodes it into `buf`. A step's
     histories lie before its positions in the same lanes, so they are known
-    to both sides. `shifts()` is the coder's renormalization shift count."""
-    model = TraceModel(header.config, header.seed)
-    params = model.parameters()
-    cache = LossCache(header.cache_capacity)
+    to both sides. `shifts()` is the coder's renormalization shift count.
+    The model is built only if some lane outlasts its warm-up. A float
+    overflow or NaN raises FloatingPointError where it happens, which is the
+    same operation in both directions."""
     stats = DecisionStats()
     metrics = StreamMetrics(chunk_steps=chunk_steps)
     window = header.config.window
@@ -268,14 +282,19 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
     metrics.warmup_bytes = int(warm.sum())
     metrics.warmup_bits = shifts()
 
-    cols = np.arange(-window, 0, dtype=np.int64)
     max_steps = int(main_lens.max())
+    if max_steps == 0:
+        return metrics, stats
+    model = TraceModel(header.config, header.seed)
+    params = model.parameters()
+    cache = LossCache(header.cache_capacity)
+    cols = np.arange(-window, 0, dtype=np.int64)
     steps = coded = skipped = 0
     loss_sum = 0.0
     bits_mark, chunk_start = metrics.warmup_bits, time.perf_counter()
     for s in range(max_steps):
         pos = starts[main_lens > s] + s
-        probs = forward_probs(model, buf[pos[:, None] + cols].astype(np.int64))
+        probs = forward_probs(model, buf[pos[:, None] + cols])
         for p, i in zip(probs, pos.tolist()):
             q = quantize(p)
             sym = code(i, q)
@@ -312,7 +331,8 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
 
     The stored learning rate is the float32 the header can carry, and the
     encoder optimizes with that exact value, so the decoder's replay is
-    bit-identical."""
+    bit-identical. Raises FloatingPointError, and writes nothing, if
+    training overflows float32 (say, with a very large lr)."""
     _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps)
     check_size(config)
     lr32 = float(np.float32(lr))
@@ -356,6 +376,8 @@ def decompress(container: bytes,
         metrics, stats = _run(header, out, decode, dec.shifts, CHUNK_STEPS, probe)
     except ExhaustedStreamError as exc:
         raise TruncatedPayloadError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise ModelOverflowError(f"replayed model overflowed: {exc}") from exc
     metrics.add_trailer(8 * len(payload))
     data = out.tobytes()
     if zlib.crc32(data) != header.data_checksum:

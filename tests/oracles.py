@@ -1,10 +1,11 @@
 """Reference implementations the production code is checked against.
 
-The scalar PRNG draw is the definition `nn.fill_uniform` vectorizes. The
-full-sequence transformer layer evaluates every position the way the model
-is defined, in plain float64 numpy with its own GELU and softmax;
-`model.forward_probs` computes only what reaches the last position's
-prediction and must agree with it there.
+The scalar PRNG draw is the definition `nn.fill_uniform` vectorizes, and
+`TextbookAdam` is the update `nn.adam_step` rearranges. The full-sequence
+transformer layer evaluates every position the way the model is defined,
+in plain float64 numpy with its own GELU and softmax; `model.forward_probs`
+computes only what reaches the last position's prediction and must agree
+with it there.
 """
 
 from __future__ import annotations
@@ -25,6 +26,28 @@ def rng_uniform(rng, lo: float, hi: float) -> float:
     if r >= hi:  # float rounding can hit the open bound on tiny ranges
         r = math.nextafter(hi, -math.inf)
     return r
+
+
+class TextbookAdam:
+    """Adam as Kingma & Ba write it, in float64: moments scaled by (1 - beta)
+    and bias-corrected before the step."""
+
+    def __init__(self, value, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.value = np.array(value, dtype=np.float64)
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self.t = 0
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+
+    def step(self, grad) -> None:
+        b1, b2 = self.beta1, self.beta2
+        self.t += 1
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        mhat = self.m / (1.0 - b1 ** self.t)
+        vhat = self.v / (1.0 - b2 ** self.t)
+        self.value = self.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def _check_history(history, window: int) -> np.ndarray:

@@ -12,16 +12,19 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, float64_model, numeric_grad
-from oracles import rng_uniform
+from oracles import TextbookAdam, rng_uniform
 from trc.model import ModelConfig, backward, forward_probs, nll_loss
 from trc.nn import (
+    SLICE,
     Parameter,
     Rng64,
     adam_step,
     fill_uniform,
     gather_rows,
     gelu,
+    gelu_backward,
     matmul,
+    scatter_rows,
     softmax_rows,
 )
 
@@ -104,16 +107,41 @@ def test_matmul_shape_mismatch_raises():
 
 def test_gelu_closed_form_points():
     x = np.array([0.0, 1.0, -1.0, 10.0, -10.0, 0.5], dtype=np.float64)
-    got = gelu(x)
+    t = np.empty_like(x)
+    got = gelu(x, t)
     want = np.array([gelu_oracle(v) for v in x])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assert got[0] == 0.0
     assert abs(got[1] - 0.8411919906082768) < 1e-12
     np.testing.assert_allclose(got[3], 10.0, rtol=1e-9)
     assert abs(got[4]) < 1e-7
-    got32 = gelu(x.astype(np.float32))
+    c = math.sqrt(2.0 / math.pi)
+    np.testing.assert_allclose(t, np.tanh(c * (x + 0.044715 * x ** 3)), rtol=1e-15, atol=0)
+    t32 = np.empty(x.shape, dtype=np.float32)
+    got32 = gelu(x.astype(np.float32), t32)
     assert got32.dtype == np.float32
     np.testing.assert_allclose(got32, want, rtol=1e-6, atol=1e-7)
+
+
+def test_gelu_backward_with_kept_tanh_matches_central_differences():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.0, -1e-3, 1e-3, 8.0, -8.0]])
+    g = rng.standard_normal(x.shape)
+    t = np.empty_like(x)
+    gelu(x, t)
+    got = g.copy()
+    gelu_backward(x, t, got)
+    h = 1e-5
+    fd = (gelu(x + h, np.empty_like(x)) - gelu(x - h, np.empty_like(x))) / (2.0 * h)
+    np.testing.assert_allclose(got, g * fd, rtol=1e-7, atol=1e-9)
+    t32 = np.empty(x.shape, dtype=np.float32)
+    gelu(x.astype(np.float32), t32)
+    got32 = g.astype(np.float32)
+    gelu_backward(x.astype(np.float32), t32, got32)
+    assert got32.dtype == np.float32
+    # near saturation the last bit of a float32 tanh (6e-8) is scaled by
+    # |x|*c*(1 + 3a*x^2), about 28 at |x| = 6
+    np.testing.assert_allclose(got32, g * fd, rtol=1e-5, atol=1e-5)
 
 
 def test_softmax_uniform_and_shifted_rows():
@@ -159,6 +187,21 @@ def test_gather_and_take_forward():
     loss, grad = nll_loss(probs, np.array([1, 2]))
     assert loss == pytest.approx(-(math.log(0.25) + math.log(0.75)) / 2, rel=1e-15)
     np.testing.assert_array_equal(grad, [[0.25, -0.375, 0.125], [0.0625, 0.0625, -0.125]])
+
+
+def test_scatter_rows_equals_add_at_on_repeated_bytes():
+    # small-integer gradients sum exactly in any order, so the sort-and-reduce
+    # must give np.add.at's result bit for bit, zero rows included
+    rng = np.random.default_rng(11)
+    for shape, d in (((4, 12), 8), ((64, 32), 64), ((1, 1), 3), ((3, 5), 1)):
+        idx = rng.integers(40, 48, size=shape)     # few values, many repeats
+        g = rng.integers(-8, 9, size=shape + (d,)).astype(np.float32)
+        want = np.zeros((256, d), dtype=np.float32)
+        np.add.at(want, idx.reshape(-1), g.reshape(-1, d))
+        for dtype in (np.uint8, np.int64):
+            got = np.full((256, d), 7.0, dtype=np.float32)
+            scatter_rows(got, idx.astype(dtype), g)
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +358,44 @@ def test_adam_constant_grad_many_steps():
     np.testing.assert_allclose(p.value, -0.05, rtol=1e-3)
 
 
-def test_adam_clears_grads_and_counts_steps():
+def test_adam_leaves_grads_and_counts_steps():
+    # backward overwrites every grad, so adam_step reads them and leaves
+    # them as they are
     p = Parameter(np.ones((2,), dtype=np.float32))
     p.grad[:] = 3.0
     adam_step([p], lr=0.01)
-    assert np.array_equal(p.grad, np.zeros((2,)))
-    p.grad[:] = 3.0
+    assert np.array_equal(p.grad, [3.0, 3.0])
     adam_step([p], lr=0.01)
+    assert np.array_equal(p.grad, [3.0, 3.0])
     assert p.step_count == 2
+
+
+@pytest.mark.parametrize("size", [1, SLICE - 1, SLICE + 1, 3 * SLICE + 7])
+def test_adam_tracks_textbook_oracle(size):
+    # gradients from 1e-10 to 10 in magnitude, so both the folded step size
+    # and the folded epsilon decide digits
+    rng = np.random.default_rng(size)
+    start = rng.uniform(1.0, 2.0, size)
+    scale = 10.0 ** rng.uniform(-10.0, 1.0, size)
+    p = Parameter(start)
+    oracle = TextbookAdam(start, lr=1e-3)
+    for _ in range(200):
+        grad = scale * rng.standard_normal(size)
+        p.grad[:] = grad
+        adam_step([p], lr=1e-3)
+        oracle.step(grad)
+    assert p.step_count == 200
+    np.testing.assert_allclose(p.value, oracle.value, rtol=1e-12, atol=0)
+
+
+def test_parameter_holds_value_grad_and_moments_only():
+    p = Parameter(np.zeros((3, 5), dtype=np.float32))
+    arrays = {name: getattr(p, name) for name in p.__slots__
+              if isinstance(getattr(p, name), np.ndarray)}
+    assert set(arrays) == {"value", "grad", "m", "v"}
+    for a in arrays.values():
+        assert a.shape == (3, 5) and a.dtype == np.float32 and a.flags.c_contiguous
+    assert sum(a.nbytes for a in arrays.values()) == 4 * p.value.nbytes
 
 
 def test_adam_rejects_bad_lr():

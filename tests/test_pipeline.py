@@ -27,6 +27,7 @@ from trc.pipeline import (
     DistributionProbe,
     HEADER_SIZE,
     MAGIC,
+    ModelOverflowError,
     TruncatedPayloadError,
     UnsupportedVersionError,
     _HEADER,
@@ -37,6 +38,7 @@ from trc.pipeline import (
 
 SMALL = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3,
                     shared_ffn_repeats=2, num_heads=2)  # window 6
+TINY = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)  # window 32
 
 
 def roundtrip(data, config=SMALL, **kw):
@@ -131,7 +133,7 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         good[4] = version
         with pytest.raises(UnsupportedVersionError):
             decompress(bytes(good))
@@ -192,9 +194,50 @@ def test_payload_bit_flips_never_decode_to_wrong_bytes():
     assert kinds == {ChecksumMismatchError, TruncatedPayloadError}
 
 
+def _decode_outcome(container, data):
+    """None if container decodes to data, else the ContainerError's type;
+    wrong bytes and any other exception fail the test."""
+    try:
+        out = decompress(container)
+    except ContainerError as exc:
+        return type(exc)
+    assert out.data == data
+    return None
+
+
+def test_header_mutations_and_truncations_never_decode_to_wrong_bytes():
+    # Every header byte XORed with 0x01 and with 0xFF, the container cut at
+    # every header offset, and cut at 10 payload offsets both as is and under
+    # a resealed payload CRC. Legal but costly headers are kept: ffn
+    # 64 ^ 0xFF00 = 65344 builds a 4.2M-parameter model and runs about 3 s,
+    # and shared_ffn_repeats 253 or 258 overflows float32 within a step.
+    data = synthetic_text(600, seed=8)
+    good = compress(data, TINY, seed=1, lanes=4, controller=True).container
+    payload = good[HEADER_SIZE:]
+    kinds = set()
+    for i in range(HEADER_SIZE):
+        for mask in (0x01, 0xFF):
+            bad = bytearray(good)
+            bad[i] ^= mask
+            kinds.add(_decode_outcome(bytes(bad), data))
+    for cut in range(HEADER_SIZE):
+        kinds.add(_decode_outcome(good[:cut], data))
+    for cut in np.linspace(0, len(payload) - 1, 10).astype(int).tolist():
+        kinds.add(_decode_outcome(good[:HEADER_SIZE + cut], data))
+        kinds.add(_decode_outcome(reseal(good, payload[:cut]), data))
+    assert kinds - {None} == {BadMagicError, UnsupportedVersionError, ContainerError,
+                              ChecksumMismatchError, TruncatedPayloadError,
+                              ModelOverflowError}
+
+
+def test_compress_refuses_a_job_that_overflows_float32():
+    with pytest.raises(FloatingPointError):
+        compress(synthetic_text(200, seed=3), TINY, seed=1, lanes=2, lr=1e30)
+
+
 def test_container_errors_share_a_base():
     for err in (BadMagicError, UnsupportedVersionError, ChecksumMismatchError,
-                TruncatedPayloadError):
+                TruncatedPayloadError, ModelOverflowError):
         assert issubclass(err, ContainerError)
         assert issubclass(err, ValueError)
 
@@ -208,6 +251,20 @@ def test_roundtrip_empty_input():
     assert out.data == b""
     assert len(res.container) == HEADER_SIZE
     assert res.metrics.total_bits_out == 0
+
+
+def test_inputs_within_warm_up_never_build_the_model(monkeypatch):
+    # lanes x window bytes code only uniform warm-up symbols; one byte more
+    # needs a model step
+    def no_model(*args):
+        raise AssertionError("model built")
+
+    monkeypatch.setattr(trc.pipeline, "TraceModel", no_model)
+    for data in (b"", synthetic_text(4 * TINY.window, seed=2)):
+        res = compress(data, TINY, seed=1, lanes=4)
+        assert decompress(res.container).data == data
+    with pytest.raises(AssertionError, match="model built"):
+        compress(synthetic_text(4 * TINY.window + 1, seed=2), TINY, seed=1, lanes=4)
 
 
 def test_roundtrip_tiny_inputs_all_lane_counts():
