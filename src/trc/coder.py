@@ -1,9 +1,22 @@
-"""32-bit integer arithmetic coder and the probability-to-frequency bridge.
+"""Byte-wise range coder and the probability-to-frequency bridge.
 
-Frequencies carry 16 bits of precision, so range*frequency products stay
-within 48 bits and all arithmetic is exact in 64-bit integers. The encoder
-and decoder renormalize identically; compressed size tracks the cross
-entropy of the supplied distributions to within a small constant.
+The coder is a carryless range coder (G. N. N. Martin, "Range encoding",
+1979, in Subbotin's carryless form). Its state is an interval
+[low, low + range) inside [0, 2^32). Coding a symbol narrows the interval
+to the symbol's share, using the exact products range * cum >> 16: with
+16-bit frequencies these stay within 48 bits, so all arithmetic is exact in
+Python integers and identical in both directions. Whenever the top bytes
+of low and low + range - 1 agree, that byte is settled and leaves the state,
+so renormalization moves a whole byte at a time and keeps no pending state.
+A range below 2^16 that still straddles a byte boundary is cut to the next
+2^16 boundary, which costs a little coding efficiency and never carries.
+Compressed size tracks the cross entropy of the supplied distributions to
+within a small constant.
+
+The decoder is total: on any payload it returns a symbol for every call, or
+raises ExhaustedStreamError once it has read more than MAX_OVERDRAW bytes
+past the end. It never leaves its state space, because it takes
+code - low modulo 2^32 and clamps the target frequency into [0, 2^16).
 """
 
 from __future__ import annotations
@@ -12,10 +25,9 @@ import numpy as np
 
 TOTAL = 1 << 16
 _MASK = (1 << 32) - 1
-_HALF = 1 << 31
-_QUARTER = 1 << 30
-_THREE_Q = 3 << 30
-MAX_OVERDRAW = 64  # zero bits the decoder reads past the payload before giving up
+_TOP = 1 << 24  # unit of the top byte of a 32-bit value
+_BOT = 1 << 16  # least range that codes every frequency >= 1 to a nonempty range
+MAX_OVERDRAW = 8  # zero bytes the decoder reads past the payload before giving up
 
 
 class ExhaustedStreamError(ValueError):
@@ -77,140 +89,116 @@ def quantize(p) -> QuantizedDistribution:
 UNIFORM = quantize(np.full(256, 1.0 / 256.0))
 
 
-class Encoder:
-    """Streaming arithmetic encoder; finish() seals and returns the payload."""
+def max_symbols(payload_bytes: int) -> int:
+    """The most symbols a Decoder over a payload of this many bytes can
+    return before it raises ExhaustedStreamError.
 
-    __slots__ = ("low", "high", "pending_bits", "bits_written",
-                 "_buf", "_acc", "_nbits", "_finished")
+    A symbol shrinks the range by a factor below 65282/65536, more than
+    0.0056 bits: the likeliest frequency is 65536 - 255, and rounding adds
+    less than 1/2^16 of the range, which is at least 2^16 before every
+    symbol. Each byte shifted in widens the range by 8 bits. The range
+    starts at 2^32 and is at least 2^16 after every symbol, and the decoder
+    shifts in at most payload_bytes + MAX_OVERDRAW - 4 bytes, so k symbols
+    need 0.0056 k < 16 + 8 (payload_bytes + MAX_OVERDRAW - 4)."""
+    return (8 * (payload_bytes + MAX_OVERDRAW) - 16) * 10_000 // 56
+
+
+class Encoder:
+    """Streaming range encoder; finish() seals and returns the payload."""
+
+    __slots__ = ("low", "range", "_buf", "_finished")
 
     def __init__(self):
         self.low = 0
-        self.high = _MASK
-        self.pending_bits = 0
-        self.bits_written = 0
+        self.range = 1 << 32
         self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
         self._finished = False
-
-    def _emit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | bit
-        self._nbits += 1
-        self.bits_written += 1
-        if self._nbits == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
-
-    def _emit_with_pending(self, bit: int) -> None:
-        self._emit(bit)
-        flip = bit ^ 1
-        for _ in range(self.pending_bits):
-            self._emit(flip)
-        self.pending_bits = 0
 
     def encode_symbol(self, sym: int, q: QuantizedDistribution) -> None:
         if self._finished:
             raise ValueError("encoder already finished")
-        cl = int(q.cum[sym])
-        ch = int(q.cum[sym + 1])
-        rng = self.high - self.low + 1
-        self.high = self.low + (rng * ch >> 16) - 1
-        self.low = self.low + (rng * cl >> 16)
+        rng = self.range
+        lo = rng * int(q.cum[sym]) >> 16
+        low = self.low + lo
+        rng = (rng * int(q.cum[sym + 1]) >> 16) - lo
         while True:
-            if self.high < _HALF:
-                self._emit_with_pending(0)
-            elif self.low >= _HALF:
-                self._emit_with_pending(1)
-                self.low -= _HALF
-                self.high -= _HALF
-            elif self.low >= _QUARTER and self.high < _THREE_Q:
-                self.pending_bits += 1
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-            else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
+            if (low ^ (low + rng - 1)) >= _TOP:
+                if rng >= _BOT:
+                    break
+                rng = _BOT - (low & (_BOT - 1))
+            self._buf.append(low >> 24)
+            low = (low << 8) & _MASK
+            rng <<= 8
+        self.low, self.range = low, rng
 
     def shifts(self) -> int:
-        """Renormalization shifts so far: each one has emitted a bit or
-        deferred one. The decoder's count follows the same trajectory."""
-        return self.bits_written + self.pending_bits
+        """Bits shifted out so far, 8 per byte; the decoder's count follows
+        the same trajectory, and after finish() it is 8 x payload bytes."""
+        return 8 * len(self._buf)
 
     def finish(self) -> bytes:
-        """Seal the stream. The interval always contains one-half at this
-        point (low < HALF <= high), so a single 1 bit plus the deferred
-        complement bits pins the value; byte padding with zeros keeps it
-        exact. Callable once."""
+        """Seal the stream. The interval straddles a byte boundary, so it
+        holds the multiple of 2^24 at or above low; its top byte, followed
+        by the zeros the decoder reads past the end, pins that value.
+        Callable once."""
         if self._finished:
             raise ValueError("finish called twice")
         self._finished = True
-        self._emit_with_pending(1)
-        while self._nbits:
-            self._emit(0)
+        self._buf.append((self.low + _TOP - 1) >> 24)
         return bytes(self._buf)
 
 
 class Decoder:
     """Mirror of Encoder over a fixed payload; total for arbitrary bytes.
 
-    Reads past the end yield zero bits, which is exactly what the encoder's
-    byte padding implies; more than MAX_OVERDRAW such reads means the caller is
-    decoding symbols that were never encoded."""
+    Reads past the end yield zero bytes, which is what the encoder's seal
+    implies; more than MAX_OVERDRAW such reads means the caller is decoding
+    symbols that were never encoded."""
 
-    __slots__ = ("low", "high", "value", "_data", "_bitpos", "_overdrawn")
+    __slots__ = ("low", "range", "code", "_data", "_pos")
 
     def __init__(self, payload: bytes):
         self.low = 0
-        self.high = _MASK
+        self.range = 1 << 32
         self._data = payload
-        self._bitpos = 0
-        self._overdrawn = 0
-        self.value = 0
-        for _ in range(32):
-            self.value = (self.value << 1) | self._next_bit()
+        self._pos = 0
+        self.code = 0
+        for _ in range(4):
+            self.code = (self.code << 8) | self._next_byte()
 
-    def _next_bit(self) -> int:
-        byte_i = self._bitpos >> 3
-        if byte_i >= len(self._data):
-            self._overdrawn += 1
-            if self._overdrawn > MAX_OVERDRAW:
-                raise ExhaustedStreamError(
-                    f"needed {self._overdrawn} bits past the end of a "
-                    f"{len(self._data)}-byte payload")
-            return 0
-        bit = (self._data[byte_i] >> (7 - (self._bitpos & 7))) & 1
-        self._bitpos += 1
-        return bit
+    def _next_byte(self) -> int:
+        pos = self._pos
+        self._pos = pos + 1
+        if pos < len(self._data):
+            return self._data[pos]
+        if pos - len(self._data) >= MAX_OVERDRAW:
+            raise ExhaustedStreamError(
+                f"needed {pos + 1 - len(self._data)} bytes past the end of a "
+                f"{len(self._data)}-byte payload")
+        return 0
 
     def shifts(self) -> int:
-        """Renormalization shifts so far: one bit read each, past the 32
-        that primed `value`; equals the encoder's count at every symbol."""
-        return self._bitpos + self._overdrawn - 32
+        """Bits shifted in so far, 8 per byte past the 4 that primed `code`;
+        equals the encoder's count at every symbol."""
+        return 8 * (self._pos - 4)
 
     def decode_symbol(self, q: QuantizedDistribution) -> int:
-        rng = self.high - self.low + 1
-        target = ((self.value - self.low + 1) * TOTAL - 1) // rng
+        low, rng = self.low, self.range
+        # the symbol is the last whose rng * cum >> 16 is at most code - low,
+        # that is, whose cum is at most target
+        offset = (self.code - low) & _MASK
+        target = min(((offset + 1 << 16) - 1) // rng, TOTAL - 1)
         sym = int(np.searchsorted(q.cum, target, side="right")) - 1
-        cl = int(q.cum[sym])
-        ch = int(q.cum[sym + 1])
-        self.high = self.low + (rng * ch >> 16) - 1
-        self.low = self.low + (rng * cl >> 16)
+        lo = rng * int(q.cum[sym]) >> 16
+        low += lo
+        rng = (rng * int(q.cum[sym + 1]) >> 16) - lo
         while True:
-            if self.high < _HALF:
-                pass
-            elif self.low >= _HALF:
-                self.low -= _HALF
-                self.high -= _HALF
-                self.value -= _HALF
-            elif self.low >= _QUARTER and self.high < _THREE_Q:
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-                self.value -= _QUARTER
-            else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-            self.value = (self.value << 1) | self._next_bit()
+            if (low ^ (low + rng - 1)) >= _TOP:
+                if rng >= _BOT:
+                    break
+                rng = _BOT - (low & (_BOT - 1))
+            self.code = ((self.code << 8) | self._next_byte()) & _MASK
+            low = (low << 8) & _MASK
+            rng <<= 8
+        self.low, self.range = low, rng
         return sym

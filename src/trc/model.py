@@ -38,6 +38,10 @@ VOCAB = 256
 # array and about 1 GB with the gradient and both Adam moments. The paper
 # default has 2,443,264.
 MAX_PARAMETERS = 1 << 26
+# Most floats a train step may hold in activations and their gradients: 1 GB
+# in float32, as for the parameters. The paper default at 64 lanes holds
+# about 2.5M.
+MAX_STEP_FLOATS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,20 @@ def parameter_count(config: ModelConfig) -> int:
             + h * VOCAB)
 
 
-def check_size(config: ModelConfig) -> None:
-    """Raise ValueError if the model has more than MAX_PARAMETERS parameters."""
+def check_size(config: ModelConfig, lanes: int) -> None:
+    """Raise ValueError if the model has more than MAX_PARAMETERS parameters,
+    or if a train step over `lanes` lanes holds more than MAX_STEP_FLOATS
+    floats in its largest arrays: the (N, B, f) FFN arrays us, ths, acts and
+    dus, and the (B, c, h) window x with its keys and values."""
     n = parameter_count(config)
     if n > MAX_PARAMETERS:
         raise ValueError(f"model {config.label()} has {n} parameters, "
                          f"more than {MAX_PARAMETERS}")
+    n = lanes * (4 * config.shared_ffn_repeats * config.ffn_dim
+                 + 3 * config.context_len * config.hidden_dim)
+    if n > MAX_STEP_FLOATS:
+        raise ValueError(f"a step of model {config.label()} over {lanes} lanes "
+                         f"holds {n} floats, more than {MAX_STEP_FLOATS}")
 
 
 # initialization order is part of the format: the decoder rebuilds the model

@@ -16,17 +16,22 @@ kernel's own, so another kernel family (say, AVX2 against AVX-512) can round
 differently. Where that breaks, the decoded bytes fail the data checksum
 and decompress raises ChecksumMismatchError; it never returns wrong bytes.
 
-Container layout, version 4 (little-endian, fixed width, 50 bytes, payload
+Container layout, version 5 (little-endian, fixed width, 50 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
 controller u8, cache u16, seed u64, original_length u64, data crc32 u32
-(of the original bytes), payload crc32 u32. Versions 2 and 3 had the same
-layout but train differently in the last bits, so their payloads do not
-replay here. Version 2 accumulated in float64. Version 3 stored Adam's
-moments scaled by (1 - beta), arranged the GELU derivative differently and
-summed the byte-embedding gradient row by row with np.add.at; each of these
-rounds differently in float32 from version 4, so the trained weights, and
-with them every prediction after the first update, differ.
+(of the original bytes), payload crc32 u32. The payload is the byte-wise
+range coder's output (see coder.py). Versions 2 to 4 had the same header
+but a bit-at-a-time arithmetic coder, whose payload bytes mean something
+else, so a version 4 payload does not decode here even though its model
+trains the same bits. Versions 2 and 3 also train differently in the last
+bits: version 2 accumulated in float64, and version 3 stored Adam's moments
+scaled by (1 - beta), arranged the GELU derivative differently and summed
+the byte-embedding gradient row by row with np.add.at.
+
+A header can ask only for what the decoder is able to hold: a model of at
+most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS
+activation floats, and no more bytes than its payload can carry.
 """
 
 from __future__ import annotations
@@ -39,22 +44,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coder import (MAX_OVERDRAW, Decoder, Encoder, ExhaustedStreamError,
-                    QuantizedDistribution, UNIFORM, quantize)
+from .coder import Decoder, Encoder, ExhaustedStreamError, UNIFORM, max_symbols, quantize
 from .controller import DecisionStats, LossCache, should_backprop
 from .controller import skip_fraction as _skip_fraction
 from .model import ModelConfig, TraceModel, backward, check_size, forward_probs, nll_loss
 from .nn import adam_step
 
 MAGIC = b"TRCE"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct("<4sB7HfBHQQII")
 HEADER_SIZE = _HEADER.size
 CHUNK_STEPS = 256
-# The likeliest symbol a quantized distribution allows has frequency
-# 65536 - 255, so every symbol costs at least log2(65536/65281) ~= 0.005625
-# bits of renormalization shifts; rounded down to allow for range rounding.
-_MIN_SYMBOL_BITS = 0.0056
 
 
 class ContainerError(ValueError):
@@ -124,7 +124,7 @@ class ContainerHeader:
         try:
             config = ModelConfig(hidden_dim=h, ffn_dim=ffn, group_size=g,
                                  context_len=c, shared_ffn_repeats=n, num_heads=heads)
-            check_size(config)
+            _check_job_size(config, lanes, length)
         except ValueError as exc:
             raise ContainerError(f"bad model shape: {exc}") from exc
         if lanes < 1 or cache < 1:
@@ -134,7 +134,7 @@ class ContainerHeader:
         if ctrl > 1:
             raise ContainerError(f"controller flag {ctrl} is neither 0 nor 1")
         payload = blob[HEADER_SIZE:]
-        if length > (8 * len(payload) + MAX_OVERDRAW) / _MIN_SYMBOL_BITS:
+        if length > max_symbols(len(payload)):
             raise TruncatedPayloadError(
                 f"a {len(payload)}-byte payload cannot carry {length} bytes")
         header = cls(config=config, lanes=lanes, lr=lr,
@@ -142,6 +142,15 @@ class ContainerHeader:
                      seed=seed, original_length=length, data_checksum=data_crc,
                      checksum=crc)
         return header, payload
+
+
+def _check_job_size(config: ModelConfig, lanes: int, length: int) -> None:
+    """Raise ValueError if coding `length` bytes over `lanes` lanes needs a
+    larger model, or a larger train step, than a container may ask for.
+
+    Only a lane longer than one window runs main-loop steps, so at most
+    length // (window + 1) lanes are active in any step."""
+    check_size(config, min(lanes, length // (config.window + 1)))
 
 
 def segment_lanes(length: int, lanes: int) -> list[tuple[int, int]]:
@@ -202,27 +211,6 @@ class StreamMetrics:
             self.warmup_bits += extra
 
 
-class DistributionProbe:
-    """Order-sensitive digest of every (distribution, symbol) pair the coder
-    handles, plus the ideal cost of that pairing in bits.
-
-    Lets a test prove the decoder saw the exact frequency sequence the
-    encoder used without holding a million arrays in memory."""
-
-    __slots__ = ("digest", "count", "cost_bits")
-
-    def __init__(self):
-        self.digest = 0
-        self.count = 0
-        self.cost_bits = 0.0
-
-    def observe(self, q: QuantizedDistribution, sym: int) -> None:
-        self.digest = zlib.crc32(q.freq.astype("<u4").tobytes() + bytes([sym]),
-                                 self.digest)
-        self.count += 1
-        self.cost_bits += 16.0 - math.log2(int(q.freq[sym]))
-
-
 @dataclass
 class CompressResult:
     container: bytes
@@ -255,14 +243,14 @@ def _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps):
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: int,
-         probe: DistributionProbe | None) -> tuple[StreamMetrics, DecisionStats]:
+def _run(header: ContainerHeader, buf: np.ndarray, code, shifts,
+         chunk_steps: int) -> tuple[StreamMetrics, DecisionStats]:
     """The lane loop of both directions.
 
-    `code(i, q)` codes byte i of the file under q and returns it: the
-    encoder reads it from `buf`, the decoder decodes it into `buf`. A step's
-    histories lie before its positions in the same lanes, so they are known
-    to both sides. `shifts()` is the coder's renormalization shift count.
+    `code(i, q)` codes byte i of the file under q: the encoder reads it
+    from `buf`, the decoder decodes it into `buf`. A step's histories lie
+    before its positions in the same lanes, so they are known to both
+    sides. `shifts()` is the coder's renormalization shift count.
     The model is built only if some lane outlasts its warm-up. A float
     overflow or NaN raises FloatingPointError where it happens, which is the
     same operation in both directions."""
@@ -276,9 +264,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
 
     for off, n in zip(segs[:, 0].tolist(), warm.tolist()):
         for i in range(off, off + n):
-            sym = code(i, UNIFORM)
-            if probe is not None:
-                probe.observe(UNIFORM, sym)
+            code(i, UNIFORM)
     metrics.warmup_bytes = int(warm.sum())
     metrics.warmup_bits = shifts()
 
@@ -296,10 +282,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
         pos = starts[main_lens > s] + s
         probs = forward_probs(model, buf[pos[:, None] + cols])
         for p, i in zip(probs, pos.tolist()):
-            q = quantize(p)
-            sym = code(i, q)
-            if probe is not None:
-                probe.observe(q, sym)
+            code(i, quantize(p))
         e, dlogits = nll_loss(probs, buf[pos].astype(np.int64))
         update = should_backprop(cache, e) if header.controller_enabled else True
         stats.record(update)
@@ -325,8 +308,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts, chunk_steps: in
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
              seed: int, lanes: int = 64, lr: float = 1e-3,
              controller: bool = False, cache_capacity: int = 16,
-             chunk_steps: int = CHUNK_STEPS,
-             probe: DistributionProbe | None = None) -> CompressResult:
+             chunk_steps: int = CHUNK_STEPS) -> CompressResult:
     """Code `data` into a self-describing container.
 
     The stored learning rate is the float32 the header can carry, and the
@@ -334,7 +316,7 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
     bit-identical. Raises FloatingPointError, and writes nothing, if
     training overflows float32 (say, with a very large lr)."""
     _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps)
-    check_size(config)
+    _check_job_size(config, lanes, len(data))
     lr32 = float(np.float32(lr))
     if not lr32 > 0.0:
         raise ValueError(f"learning rate {lr} rounds to zero in float32")
@@ -347,18 +329,16 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
 
     def encode(i, q):
         enc.encode_symbol(data[i], q)
-        return data[i]
 
     metrics, stats = _run(header, np.frombuffer(data, dtype=np.uint8), encode,
-                          enc.shifts, chunk_steps, probe)
+                          enc.shifts, chunk_steps)
     payload = enc.finish() if data else b""
     metrics.add_trailer(8 * len(payload))
     header = replace(header, checksum=zlib.crc32(payload))
     return CompressResult(container=header.pack() + payload, metrics=metrics, stats=stats)
 
 
-def decompress(container: bytes,
-               probe: DistributionProbe | None = None) -> DecompressResult:
+def decompress(container: bytes) -> DecompressResult:
     """Invert compress: parse, verify the payload, re-seed, replay, then
     verify the decoded bytes. Metrics are chunked every CHUNK_STEPS steps."""
     header, payload = ContainerHeader.unpack(container)
@@ -369,11 +349,10 @@ def decompress(container: bytes,
     dec = Decoder(payload)
 
     def decode(i, q):
-        out[i] = sym = dec.decode_symbol(q)
-        return sym
+        out[i] = dec.decode_symbol(q)
 
     try:
-        metrics, stats = _run(header, out, decode, dec.shifts, CHUNK_STEPS, probe)
+        metrics, stats = _run(header, out, decode, dec.shifts, CHUNK_STEPS)
     except ExhaustedStreamError as exc:
         raise TruncatedPayloadError(str(exc)) from exc
     except FloatingPointError as exc:

@@ -1,9 +1,11 @@
 """Quantization and arithmetic-coding contracts.
 
-Oracles: the closed-form floor rule for quantize, round-trip identity, and
-the cross-entropy bound computed alongside each encode.
+Oracles: the closed-form floor rule for quantize, round-trip identity, the
+cross-entropy bound computed alongside each encode, and the SHA-256 of a
+fixed stream's payload.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,8 +18,10 @@ from trc.coder import (
     ExhaustedStreamError,
     QuantizedDistribution,
     UNIFORM,
+    max_symbols,
     quantize,
 )
+from trc.nn import Rng64
 
 # ---------------------------------------------------------------------------
 # QuantizedDistribution
@@ -192,13 +196,13 @@ def test_encoder_decoder_state_trajectories_match():
     qs = [random_q(rng) for _ in range(16)]
     for i, s in enumerate(symbols):
         enc.encode_symbol(int(s), qs[i % 16])
-        enc_states.append((enc.low, enc.high))
+        enc_states.append((enc.low, enc.range, enc.shifts()))
     payload = enc.finish()
     dec = Decoder(payload)
     for i in range(500):
         got = dec.decode_symbol(qs[i % 16])
         assert got == int(symbols[i])
-        assert (dec.low, dec.high) == enc_states[i]
+        assert (dec.low, dec.range, dec.shifts()) == enc_states[i]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def test_bits_written_matches_payload_length():
     for s in range(300):
         enc.encode_symbol(s % 256, UNIFORM)
     payload = enc.finish()
-    assert enc.bits_written == 8 * len(payload)
+    assert enc.shifts() == 8 * len(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +295,28 @@ def test_corrupted_payload_decodes_totally():
     assert out != [int(s) for s in data]
 
 
+def test_decoder_stops_within_max_symbols():
+    # the likeliest symbol a distribution allows costs the fewest bits, so a
+    # run of it squeezes the most symbols out of each payload byte; as symbol
+    # 0 it also decodes from the zeros read past the end of a prefix
+    freq = np.ones(256, dtype=np.int64)
+    freq[0] = TOTAL - 255
+    q = QuantizedDistribution(freq)
+    enc = Encoder()
+    for _ in range(25_000):
+        enc.encode_symbol(0, q)
+    payload = enc.finish()
+    assert len(payload) >= 12
+    for n in (0, 1, 3, 8, 12):
+        dec = Decoder(payload[:n])
+        decoded = 0
+        with pytest.raises(ExhaustedStreamError):
+            while decoded <= max_symbols(n):
+                assert dec.decode_symbol(q) == 0
+                decoded += 1
+        assert decoded <= max_symbols(n)
+
+
 def test_decoding_past_the_stream_raises():
     dec = Decoder(b"")
     with pytest.raises(ExhaustedStreamError):
@@ -305,3 +331,43 @@ def test_overdraw_not_triggered_by_normal_padding():
         enc.encode_symbol(sym, UNIFORM)
         dec = Decoder(enc.finish())
         assert dec.decode_symbol(UNIFORM) == sym
+
+
+# ---------------------------------------------------------------------------
+# byte format
+
+
+# SHA-256 of the payload below; the coder is integer-only, so it is the same
+# on every platform, and it changes only with the container version
+PINNED_PAYLOAD_SHA256 = "ef770d810dca7cc59ef524dc986da634b2ffbb9d86c1bd17940f256ec8ed0380"
+
+
+def _pinned_stream():
+    """A fixed stream of (symbol, distribution) pairs from SplitMix64 and
+    integer arithmetic alone: uniform, skewed and random frequencies."""
+    rng = Rng64(2203)
+    skewed = np.ones(256, dtype=np.int64)
+    skewed[200] = TOTAL - 255
+    qs = [UNIFORM, QuantizedDistribution(skewed)]
+    for _ in range(6):
+        cuts = sorted(rng.next_u64() % (TOTAL - 255) for _ in range(255))
+        qs.append(QuantizedDistribution(np.diff([0] + cuts + [TOTAL - 256]) + 1))
+    out = []
+    for _ in range(4000):
+        q = qs[rng.next_u64() % len(qs)]
+        sym = rng.next_u64() % 256
+        if q is qs[1] and rng.next_u64() % 16:
+            sym = 200
+        out.append((int(sym), q))
+    return out
+
+
+def test_payload_bytes_are_pinned():
+    stream = _pinned_stream()
+    enc = Encoder()
+    for sym, q in stream:
+        enc.encode_symbol(sym, q)
+    payload = enc.finish()
+    assert hashlib.sha256(payload).hexdigest() == PINNED_PAYLOAD_SHA256
+    dec = Decoder(payload)
+    assert [dec.decode_symbol(q) for _, q in stream] == [sym for sym, _ in stream]

@@ -1,12 +1,14 @@
 """End-to-end loop and container contracts.
 
 The defining property is round-trip identity, or else a ContainerError;
-around it sit the header frame, lane geometry, the probe proving encoder
-and decoder saw identical distribution sequences, equal metrics in both
-directions, and bit conservation in the metrics.
+around it sit the header frame, lane geometry, a record of every coded
+(distribution, symbol) pair proving encoder and decoder saw identical
+sequences, equal metrics in both directions, and bit conservation in the
+metrics.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -18,13 +20,13 @@ import pytest
 
 from conftest import synthetic_text
 import trc
-from trc.model import MAX_PARAMETERS, ModelConfig, parameter_count
+from trc.coder import Decoder, Encoder
+from trc.model import MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, parameter_count
 from trc.pipeline import (
     BadMagicError,
     ChecksumMismatchError,
     ContainerError,
     ContainerHeader,
-    DistributionProbe,
     HEADER_SIZE,
     MAGIC,
     ModelOverflowError,
@@ -133,7 +135,7 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         good[4] = version
         with pytest.raises(UnsupportedVersionError):
             decompress(bytes(good))
@@ -155,6 +157,31 @@ def test_unpack_rejects_bad_header_fields(field, value):
     fields[_FIELD[field]] = value
     with pytest.raises(ContainerError):
         decompress(_HEADER.pack(*fields) + good[HEADER_SIZE:])
+
+
+# A one-byte window and a 65535-wide FFN over 65535 two-byte lanes: about
+# 131K parameters, but a first step of 4.3G floats (17 GB) per FFN array.
+WIDE_STEP = ModelConfig(hidden_dim=1, ffn_dim=65535, group_size=1, context_len=1,
+                        shared_ffn_repeats=1, num_heads=1)
+
+
+def test_step_size_is_bounded_from_the_header():
+    length = 2 * 65535
+    assert parameter_count(WIDE_STEP) < MAX_PARAMETERS
+    assert 65535 * 4 * 65535 > MAX_STEP_FLOATS
+    header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
+                             controller_enabled=False, cache_capacity=16, seed=0,
+                             original_length=length, data_checksum=0, checksum=0)
+    with pytest.raises(ContainerError, match="floats"):
+        ContainerHeader.unpack(header.pack() + bytes(70_000))
+    with pytest.raises(ValueError, match="floats"):
+        compress(bytes(length), WIDE_STEP, seed=0, lanes=65535)
+    # the same header over fewer lanes, and the paper default at 64 lanes
+    # over a megabyte, pass
+    for config, lanes in ((WIDE_STEP, 64), (ModelConfig(), 64)):
+        ok = dataclasses.replace(header, config=config, lanes=lanes,
+                                 original_length=1 << 20)
+        assert ContainerHeader.unpack(ok.pack() + bytes(1 << 18))[0] == ok
 
 
 def test_unpack_rejects_truncated_container():
@@ -361,29 +388,64 @@ def test_different_seed_changes_container():
     assert a.container != b.container
 
 
-def test_encoder_and_decoder_see_identical_distributions():
+class CodingRecord:
+    """Order-sensitive digest of every (distribution, symbol) pair the coder
+    handles, plus the ideal cost of that pairing in bits."""
+
+    def __init__(self):
+        self.digest = 0
+        self.count = 0
+        self.cost_bits = 0.0
+
+    def observe(self, q, sym):
+        self.digest = zlib.crc32(q.freq.astype("<u4").tobytes() + bytes([sym]),
+                                 self.digest)
+        self.count += 1
+        self.cost_bits += 16.0 - math.log2(int(q.freq[sym]))
+
+    def watch(self, monkeypatch):
+        """Observe every symbol the Encoder and Decoder classes code until
+        the test ends."""
+        encode_symbol, decode_symbol = Encoder.encode_symbol, Decoder.decode_symbol
+
+        def encode(coder, sym, q):
+            self.observe(q, sym)
+            encode_symbol(coder, sym, q)
+
+        def decode(coder, q):
+            sym = decode_symbol(coder, q)
+            self.observe(q, sym)
+            return sym
+
+        monkeypatch.setattr(Encoder, "encode_symbol", encode)
+        monkeypatch.setattr(Decoder, "decode_symbol", decode)
+        return self
+
+
+def test_encoder_and_decoder_see_identical_distributions(monkeypatch):
     data = synthetic_text(2000, seed=13)
     for controller in (False, True):
-        enc_probe = DistributionProbe()
-        res = compress(data, SMALL, seed=5, lanes=4, controller=controller,
-                       probe=enc_probe)
-        dec_probe = DistributionProbe()
-        out = decompress(res.container, probe=dec_probe)
+        with monkeypatch.context() as patch:
+            enc_record = CodingRecord().watch(patch)
+            res = compress(data, SMALL, seed=5, lanes=4, controller=controller)
+        with monkeypatch.context() as patch:
+            dec_record = CodingRecord().watch(patch)
+            out = decompress(res.container)
         assert out.data == data
-        assert enc_probe.count == len(data)
-        assert dec_probe.count == enc_probe.count
-        assert dec_probe.digest == enc_probe.digest
-        assert dec_probe.cost_bits == pytest.approx(enc_probe.cost_bits)
+        assert enc_record.count == len(data)
+        assert dec_record.count == enc_record.count
+        assert dec_record.digest == enc_record.digest
+        assert dec_record.cost_bits == pytest.approx(enc_record.cost_bits)
 
 
-def test_payload_tracks_ideal_cost():
+def test_payload_tracks_ideal_cost(monkeypatch):
     data = synthetic_text(2000, seed=17)
     lanes = 4
-    probe = DistributionProbe()
-    res = compress(data, SMALL, seed=5, lanes=lanes, probe=probe)
+    record = CodingRecord().watch(monkeypatch)
+    res = compress(data, SMALL, seed=5, lanes=lanes)
     payload_bits = 8 * (len(res.container) - HEADER_SIZE)
-    assert payload_bits <= probe.cost_bits + 32 + 32 * lanes
-    assert payload_bits >= probe.cost_bits - 64
+    assert payload_bits <= record.cost_bits + 32 + 32 * lanes
+    assert payload_bits >= record.cost_bits - 64
 
 
 # ---------------------------------------------------------------------------
