@@ -54,19 +54,18 @@ def lcr(t_i: float, cr_i: float, t_0: float, cr_0: float) -> float:
     return (t_i - t_0) / (cr_i - cr_0)
 
 
-def run_once(data: bytes, config: ModelConfig, *, seed: int, corpus_id: str,
-             lanes: int = 64, lr: float = 1e-3, controller: bool = False,
-             cache_capacity: int = 16, runs: int = 3) -> BenchRecord:
-    """Compress `data` `runs` times; ratio columns from the (identical)
-    containers, latency as the median wall time per input MB."""
+def run_once(data: bytes, config: ModelConfig, *, corpus_id: str, runs: int = 3,
+             **job) -> BenchRecord:
+    """Compress `data` `runs` times with compress's keyword arguments `job`
+    (seed included); ratio columns from the (identical) containers, latency
+    as the median wall time per input MB."""
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
     walls = []
     result = None
     for _ in range(runs):
         t0 = time.perf_counter()
-        res = compress(data, config, seed=seed, lanes=lanes, lr=lr,
-                       controller=controller, cache_capacity=cache_capacity)
+        res = compress(data, config, **job)
         walls.append(time.perf_counter() - t0)
         if result is not None and res.container != result.container:
             raise AssertionError("nondeterministic compress in benchmark")
@@ -88,27 +87,25 @@ class SweepResult:
 
 
 def sweep(data: bytes, cells: list[ModelConfig], *,
-          reference: ModelConfig | None = None, seed: int = 0,
-          corpus_id: str = "corpus", lanes: int = 64, lr: float = 1e-3,
-          runs: int = 3) -> SweepResult:
-    """Run every cell on the same corpus and seed; fill in each record's
-    latency-per-ratio against the reference cell (defaulting to the cell
-    with the fewest parameters). Cell failures are recorded, not fatal."""
+          reference: ModelConfig | None = None, corpus_id: str = "corpus",
+          **job) -> SweepResult:
+    """Run every cell on the same corpus and job (run_once's keyword
+    arguments); fill in each record's latency-per-ratio against the
+    reference cell (defaulting to the cell with the fewest parameters).
+    Cell failures are recorded, not fatal."""
     if not cells:
         raise ValueError("sweep needs at least one cell")
     if reference is None:
         reference = min(cells, key=parameter_count)
     out = SweepResult()
-    ref_rec = run_once(data, reference, seed=seed, corpus_id=corpus_id,
-                       lanes=lanes, lr=lr, runs=runs)
+    ref_rec = run_once(data, reference, corpus_id=corpus_id, **job)
     out.reference = ref_rec
     for cfg in cells:
         if cfg == reference:
             out.records.append(ref_rec)
             continue
         try:
-            rec = run_once(data, cfg, seed=seed, corpus_id=corpus_id,
-                           lanes=lanes, lr=lr, runs=runs)
+            rec = run_once(data, cfg, corpus_id=corpus_id, **job)
             if rec.cr != ref_rec.cr:
                 rec.lcr = lcr(rec.ms_per_mb, rec.cr, ref_rec.ms_per_mb, ref_rec.cr)
             out.records.append(rec)

@@ -1,4 +1,4 @@
-"""Command-line front end: compress, decompress, bench, sweep.
+"""Command-line front end: compress, decompress, sweep.
 
 Success exits 0. Any failure prints one line to stderr in the form
 `trc: error: <Kind>: <message>` and exits 1 (argparse keeps its own exit 2
@@ -10,59 +10,56 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict, fields, replace
 
 from .bench import run_once, sweep, write_csv
 from .model import ModelConfig
 from .pipeline import compress, decompress
 
-_AXIS_FIELDS = {
-    "hidden": "hidden_dim",
-    "ffn": "ffn_dim",
-    "groups": "group_size",
-    "context": "context_len",
-    "shared-ffn": "shared_ffn_repeats",
-    "heads": "num_heads",
+# flag -> (ModelConfig field or compress keyword, help); each flag's default
+# is the field's default in ModelConfig() or the keyword's in compress
+_FLAGS = {
+    "hidden": ("hidden_dim", "hidden dimension"),
+    "ffn": ("ffn_dim", "FFN dimension"),
+    "groups": ("group_size", "bytes per embedding group"),
+    "context": ("context_len", "context positions"),
+    "shared-ffn": ("shared_ffn_repeats", "shared-FFN repeat count"),
+    "heads": ("num_heads", "attention heads"),
+    "lanes": ("lanes", "parallel coding lanes"),
+    "lr": ("lr", "Adam learning rate"),
+    "cache-size": ("cache_capacity", "loss-cache capacity"),
 }
+_MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
+_AXES = {flag: name for flag, (name, _) in _FLAGS.items() if name in _MODEL_FIELDS}
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=256, help="hidden dimension (default 256)")
-    p.add_argument("--ffn", type=int, default=4096, help="FFN dimension (default 4096)")
-    p.add_argument("--groups", type=int, default=4, help="bytes per embedding group (default 4)")
-    p.add_argument("--context", type=int, default=8, help="context positions (default 8)")
-    p.add_argument("--shared-ffn", type=int, default=2, dest="shared_ffn",
-                   help="shared-FFN repeat count (default 2)")
-    p.add_argument("--heads", type=int, default=8, help="attention heads (default 8)")
-    p.add_argument("--lanes", type=int, default=64, help="parallel coding lanes (default 64)")
-    p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate (default 0.001)")
-    p.add_argument("--bp-controller", action="store_true", dest="bp_controller",
-                   help="gate updates on the loss-cache threshold (default off)")
-    p.add_argument("--cache-size", type=int, default=16, dest="cache_size",
-                   help="loss-cache capacity (default 16)")
+def _add_job_flags(p: argparse.ArgumentParser) -> None:
+    defaults = {**asdict(ModelConfig()), **compress.__kwdefaults__}
+    for flag, (name, what) in _FLAGS.items():
+        p.add_argument(f"--{flag}", dest=name, type=type(defaults[name]),
+                       default=defaults[name], help=f"{what} (default %(default)s)")
+    p.add_argument("--bp-controller", action="store_true", dest="controller",
+                   default=defaults["controller"],
+                   help="gate updates on the loss-cache threshold")
 
 
-def _config(args) -> ModelConfig:
-    return ModelConfig(hidden_dim=args.hidden, ffn_dim=args.ffn,
-                       group_size=args.groups, context_len=args.context,
-                       shared_ffn_repeats=args.shared_ffn, num_heads=args.heads)
+def _job(args) -> tuple[ModelConfig, dict]:
+    """The model config and compress's keyword arguments, seed included."""
+    config = ModelConfig(**{name: getattr(args, name) for name in _MODEL_FIELDS})
+    return config, {name: getattr(args, name) for name in ("seed", *compress.__kwdefaults__)}
 
 
-def _parse_axis(spec: str) -> tuple[str, list[int]]:
-    name, _, values = spec.partition("=")
-    if name not in _AXIS_FIELDS or not values:
-        raise ValueError(
-            f"axis must look like name=v1,v2 with name in "
-            f"{sorted(_AXIS_FIELDS)}, got {spec!r}")
-    return name, [int(v) for v in values.split(",")]
-
-
-def _parse_overrides(spec: str) -> dict:
-    out = {}
+def _parse_fields(spec: str) -> dict[str, list[int]]:
+    """'hidden=64,128,ffn=512' -> {'hidden_dim': [64, 128], 'ffn_dim': [512]}."""
+    out: dict[str, list[int]] = {}
     for part in spec.split(","):
-        name, _, value = part.partition("=")
-        if name not in _AXIS_FIELDS or not value:
-            raise ValueError(f"reference must look like name=value[,name=value], got {spec!r}")
-        out[_AXIS_FIELDS[name]] = int(value)
+        name, eq, value = part.rpartition("=")
+        if eq and name in _AXES:
+            values = out.setdefault(_AXES[name], [])
+        elif eq or not out:
+            raise ValueError(f"expected name=v1,v2[,name=v] with name in "
+                             f"{sorted(_AXES)}, got {spec!r}")
+        values.append(int(value))
     return out
 
 
@@ -80,9 +77,8 @@ def _write_metrics(path: str, metrics) -> None:
 def _cmd_compress(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    res = compress(data, _config(args), seed=args.seed, lanes=args.lanes,
-                   lr=args.lr, controller=args.bp_controller,
-                   cache_capacity=args.cache_size, chunk_steps=args.chunk_steps)
+    config, job = _job(args)
+    res = compress(data, config, **job)
     with open(args.outfile, "wb") as fh:
         fh.write(res.container)
     if args.metrics_out:
@@ -103,48 +99,31 @@ def _cmd_decompress(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    with open(args.corpus, "rb") as fh:
-        data = fh.read()
-    rec = run_once(data, _config(args), seed=args.seed, corpus_id=args.corpus,
-                   lanes=args.lanes, lr=args.lr, controller=args.bp_controller,
-                   cache_capacity=args.cache_size, runs=args.runs)
-    if args.csv_out:
-        write_csv([rec], args.csv_out)
-    print(",".join(str(v) for v in rec.row()))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     with open(args.corpus, "rb") as fh:
         data = fh.read()
-    base = _config(args)
+    base, job = _job(args)
     cells = []
     for spec in args.axis:
-        name, values = _parse_axis(spec)
-        for v in values:
-            cfg = ModelConfig(**{**_cfg_kwargs(base), _AXIS_FIELDS[name]: v})
-            if cfg not in cells:
-                cells.append(cfg)
+        for name, values in _parse_fields(spec).items():
+            for v in values:
+                cfg = replace(base, **{name: v})
+                if cfg not in cells:
+                    cells.append(cfg)
     reference = None
     if args.reference:
-        reference = ModelConfig(**{**_cfg_kwargs(base), **_parse_overrides(args.reference)})
-    result = sweep(data, cells, reference=reference, seed=args.seed,
-                   corpus_id=args.corpus, lanes=args.lanes, lr=args.lr,
-                   runs=args.runs)
+        overrides = _parse_fields(args.reference)
+        if any(len(v) != 1 for v in overrides.values()):
+            raise ValueError(f"reference gives one value per name, got {args.reference!r}")
+        reference = replace(base, **{k: v for k, (v,) in overrides.items()})
+    result = sweep(data, cells, reference=reference, corpus_id=args.corpus,
+                   runs=args.runs, **job)
     write_csv(result.records, args.csv_out)
     for label, why in result.failures:
         print(f"trc: sweep cell {label} failed: {why}", file=sys.stderr)
     print(f"wrote {len(result.records)} records to {args.csv_out}"
           + (f" ({len(result.failures)} failed cells)" if result.failures else ""))
     return 0
-
-
-def _cfg_kwargs(cfg: ModelConfig) -> dict:
-    return {"hidden_dim": cfg.hidden_dim, "ffn_dim": cfg.ffn_dim,
-            "group_size": cfg.group_size, "context_len": cfg.context_len,
-            "shared_ffn_repeats": cfg.shared_ffn_repeats,
-            "num_heads": cfg.num_heads}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,11 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outfile")
     p.add_argument("--seed", type=int, required=True,
                    help="model init seed, stored in the container")
-    _add_model_flags(p)
+    _add_job_flags(p)
     p.add_argument("--metrics-out", dest="metrics_out", default=None,
                    help="write per-chunk metrics CSV here")
-    p.add_argument("--chunk-steps", type=int, default=256, dest="chunk_steps",
-                   help="steps per metrics chunk (default 256)")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="restore the original file")
@@ -170,25 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outfile")
     p.set_defaults(func=_cmd_decompress)
 
-    p = sub.add_parser("bench", help="measure one config on a corpus")
-    p.add_argument("corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=3, help="timing repetitions (default 3)")
-    p.add_argument("--csv-out", dest="csv_out", default=None)
-    _add_model_flags(p)
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("sweep", help="run a structure sweep, one axis at a time")
     p.add_argument("corpus")
     p.add_argument("--axis", action="append", required=True,
-                   help="axis spec like hidden=64,128,256; repeatable")
+                   help="cells like hidden=64,128,256, one per value; repeatable")
     p.add_argument("--reference", default=None,
                    help="reference cell overrides like hidden=128,ffn=512 "
                         "(default: fewest parameters)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=int, default=run_once.__kwdefaults__["runs"],
+                   help="timing repetitions (default %(default)s)")
     p.add_argument("--csv-out", dest="csv_out", default="sweep.csv")
-    _add_model_flags(p)
+    _add_job_flags(p)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -21,6 +21,8 @@ code - low modulo 2^32 and clamps the target frequency into [0, 2^16).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 TOTAL = 1 << 16
@@ -188,7 +190,7 @@ class Decoder:
         # that is, whose cum is at most target
         offset = (self.code - low) & _MASK
         target = min(((offset + 1 << 16) - 1) // rng, TOTAL - 1)
-        sym = int(np.searchsorted(q.cum, target, side="right")) - 1
+        sym = bisect_right(q.cum, target) - 1
         lo = rng * int(q.cum[sym]) >> 16
         low += lo
         rng = (rng * int(q.cum[sym + 1]) >> 16) - lo

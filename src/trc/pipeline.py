@@ -31,7 +31,9 @@ the byte-embedding gradient row by row with np.add.at.
 
 A header can ask only for what the decoder is able to hold: a model of at
 most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS
-activation floats, and no more bytes than its payload can carry.
+activation floats, and no more bytes than its payload can carry. compress
+and unpack share one header check, ContainerHeader.check, so compress
+refuses up front any job whose container unpack would refuse.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -105,13 +107,31 @@ class ContainerHeader:
             self.lr, int(self.controller_enabled), self.cache_capacity,
             self.seed, self.original_length, self.data_checksum, self.checksum)
 
+    def check(self) -> None:
+        """Raise ValueError unless decompress can replay this header; compress
+        and unpack both call it. Each model field, lanes and cache_capacity
+        lie in [1, 65535], the seed fits in 64 bits, lr is finite and positive,
+        and the model and its steps pass check_size. Only a lane longer than
+        one window runs main-loop steps, so at most length // (window + 1)
+        lanes are active in any step."""
+        c = self.config
+        for name, v in (*asdict(c).items(), ("lanes", self.lanes),
+                        ("cache_capacity", self.cache_capacity)):
+            if not 1 <= v <= 0xFFFF:
+                raise ValueError(f"{name} must be in [1, 65535], got {v}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"learning rate {self.lr!r} is not finite and positive")
+        check_size(c, min(self.lanes, self.original_length // (c.window + 1)))
+
     @classmethod
     def unpack(cls, blob: bytes) -> tuple["ContainerHeader", bytes]:
         """Split a container into (header, payload), checking every field.
 
         Magic and version are rejected before anything else is trusted; a
-        field no compress call could have written raises ContainerError.
-        Payload integrity (checksum) is the caller's second gate."""
+        header that fails check() raises ContainerError. Payload integrity
+        (checksum) is the caller's second gate."""
         if len(blob) >= 4 and blob[:4] != MAGIC:
             raise BadMagicError(f"not a container: magic {blob[:4]!r}")
         if len(blob) < HEADER_SIZE:
@@ -121,36 +141,20 @@ class ContainerHeader:
          seed, length, data_crc, crc) = _HEADER.unpack_from(blob)
         if version != VERSION:
             raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
-        try:
-            config = ModelConfig(hidden_dim=h, ffn_dim=ffn, group_size=g,
-                                 context_len=c, shared_ffn_repeats=n, num_heads=heads)
-            _check_job_size(config, lanes, length)
-        except ValueError as exc:
-            raise ContainerError(f"bad model shape: {exc}") from exc
-        if lanes < 1 or cache < 1:
-            raise ContainerError(f"lanes {lanes} and cache {cache} must be positive")
-        if not (math.isfinite(lr) and lr > 0.0):
-            raise ContainerError(f"learning rate {lr!r} is not finite and positive")
         if ctrl > 1:
             raise ContainerError(f"controller flag {ctrl} is neither 0 nor 1")
+        try:
+            # both dataclasses list their fields in wire order
+            header = cls(ModelConfig(h, ffn, g, c, n, heads), lanes, lr, bool(ctrl),
+                         cache, seed, length, data_crc, crc)
+            header.check()
+        except ValueError as exc:
+            raise ContainerError(f"bad header: {exc}") from exc
         payload = blob[HEADER_SIZE:]
         if length > max_symbols(len(payload)):
             raise TruncatedPayloadError(
                 f"a {len(payload)}-byte payload cannot carry {length} bytes")
-        header = cls(config=config, lanes=lanes, lr=lr,
-                     controller_enabled=bool(ctrl), cache_capacity=cache,
-                     seed=seed, original_length=length, data_checksum=data_crc,
-                     checksum=crc)
         return header, payload
-
-
-def _check_job_size(config: ModelConfig, lanes: int, length: int) -> None:
-    """Raise ValueError if coding `length` bytes over `lanes` lanes needs a
-    larger model, or a larger train step, than a container may ask for.
-
-    Only a lane longer than one window runs main-loop steps, so at most
-    length // (window + 1) lanes are active in any step."""
-    check_size(config, min(lanes, length // (config.window + 1)))
 
 
 def segment_lanes(length: int, lanes: int) -> list[tuple[int, int]]:
@@ -181,7 +185,8 @@ class ChunkMetrics:
 @dataclass
 class StreamMetrics:
     """Per-chunk trace of a job; chunks cover main-loop steps only, warm-up
-    totals are carried separately so bits always reconcile.
+    totals are carried separately so bits always reconcile. Every chunk but
+    the last is CHUNK_STEPS steps, in both directions.
 
     Bits are the coder's renormalization shifts, which the encoder and the
     decoder make at the same symbols, so both directions report equal
@@ -189,7 +194,6 @@ class StreamMetrics:
     symbol go to the last chunk (to warm-up if no chunk ran), so the total
     is 8 x payload bytes."""
 
-    chunk_steps: int
     warmup_bytes: int = 0
     warmup_bits: int = 0
     chunks: list = field(default_factory=list)
@@ -229,22 +233,9 @@ class DecompressResult:
     metrics: StreamMetrics
 
 
-def _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps):
-    if not 1 <= lanes <= 0xFFFF:
-        raise ValueError(f"lanes must be in [1, 65535], got {lanes}")
-    if not lr > 0.0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if not 1 <= cache_capacity <= 0xFFFF:
-        raise ValueError(f"cache capacity must be in [1, 65535], got {cache_capacity}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if chunk_steps < 1:
-        raise ValueError(f"chunk_steps must be positive, got {chunk_steps}")
-
-
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _run(header: ContainerHeader, buf: np.ndarray, code, shifts,
-         chunk_steps: int) -> tuple[StreamMetrics, DecisionStats]:
+def _run(header: ContainerHeader, buf: np.ndarray, code,
+         shifts) -> tuple[StreamMetrics, DecisionStats]:
     """The lane loop of both directions.
 
     `code(i, q)` codes byte i of the file under q: the encoder reads it
@@ -255,7 +246,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts,
     overflow or NaN raises FloatingPointError where it happens, which is the
     same operation in both directions."""
     stats = DecisionStats()
-    metrics = StreamMetrics(chunk_steps=chunk_steps)
+    metrics = StreamMetrics()
     window = header.config.window
     segs = np.array(segment_lanes(header.original_length, header.lanes), dtype=np.int64)
     warm = np.minimum(segs[:, 1], window)
@@ -293,7 +284,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts,
         coded += len(pos)
         loss_sum += e
         skipped += not update
-        if steps == chunk_steps or s == max_steps - 1:
+        if steps == CHUNK_STEPS or s == max_steps - 1:
             now, bits = time.perf_counter(), shifts()
             metrics.chunks.append(ChunkMetrics(
                 steps=steps, bytes_in=coded, bits_out=bits - bits_mark,
@@ -307,31 +298,28 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts,
 
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
              seed: int, lanes: int = 64, lr: float = 1e-3,
-             controller: bool = False, cache_capacity: int = 16,
-             chunk_steps: int = CHUNK_STEPS) -> CompressResult:
+             controller: bool = False, cache_capacity: int = 16) -> CompressResult:
     """Code `data` into a self-describing container.
 
     The stored learning rate is the float32 the header can carry, and the
     encoder optimizes with that exact value, so the decoder's replay is
-    bit-identical. Raises FloatingPointError, and writes nothing, if
-    training overflows float32 (say, with a very large lr)."""
-    _check_job_args(lanes, lr, cache_capacity, seed, chunk_steps)
-    _check_job_size(config, lanes, len(data))
-    lr32 = float(np.float32(lr))
-    if not lr32 > 0.0:
-        raise ValueError(f"learning rate {lr} rounds to zero in float32")
+    bit-identical. Raises ValueError before coding a byte if the header
+    fails ContainerHeader.check, and FloatingPointError, writing nothing,
+    if training overflows float32 (say, with a very large lr)."""
+    with np.errstate(over="ignore"):
+        lr32 = float(np.float32(lr))
     header = ContainerHeader(config=config, lanes=lanes, lr=lr32,
                              controller_enabled=controller,
                              cache_capacity=cache_capacity, seed=seed,
                              original_length=len(data),
                              data_checksum=zlib.crc32(data), checksum=0)
+    header.check()
     enc = Encoder()
 
     def encode(i, q):
         enc.encode_symbol(data[i], q)
 
-    metrics, stats = _run(header, np.frombuffer(data, dtype=np.uint8), encode,
-                          enc.shifts, chunk_steps)
+    metrics, stats = _run(header, np.frombuffer(data, dtype=np.uint8), encode, enc.shifts)
     payload = enc.finish() if data else b""
     metrics.add_trailer(8 * len(payload))
     header = replace(header, checksum=zlib.crc32(payload))
@@ -340,7 +328,7 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
 
 def decompress(container: bytes) -> DecompressResult:
     """Invert compress: parse, verify the payload, re-seed, replay, then
-    verify the decoded bytes. Metrics are chunked every CHUNK_STEPS steps."""
+    verify the decoded bytes."""
     header, payload = ContainerHeader.unpack(container)
     if zlib.crc32(payload) != header.checksum:
         raise ChecksumMismatchError(
@@ -352,7 +340,7 @@ def decompress(container: bytes) -> DecompressResult:
         out[i] = dec.decode_symbol(q)
 
     try:
-        metrics, stats = _run(header, out, decode, dec.shifts, CHUNK_STEPS)
+        metrics, stats = _run(header, out, decode, dec.shifts)
     except ExhaustedStreamError as exc:
         raise TruncatedPayloadError(str(exc)) from exc
     except FloatingPointError as exc:

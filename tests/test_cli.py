@@ -1,14 +1,23 @@
-"""The command line through `main(argv)`: a file round trip, the metrics
-CSV, and the one-line error report for a bad container."""
+"""The command line through `main(argv)` and `python -m trc`: a file round
+trip, the metrics CSV, the one-line error report for a bad container, and
+job flags that default to the code's own defaults and reach every command."""
 
 import csv
+import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import synthetic_text
-from trc.cli import main
-from trc.pipeline import HEADER_SIZE
+import trc
+from trc.bench import run_once
+from trc.cli import _job, build_parser, main
+from trc.model import ModelConfig
+from trc.pipeline import HEADER_SIZE, compress
 
 COMPRESS_FLAGS = ["--hidden", "16", "--ffn", "24", "--groups", "2", "--context", "3",
               "--heads", "2", "--lanes", "3", "--seed", "5"]
@@ -20,8 +29,7 @@ def packed(tmp_path):
     data = synthetic_text(900, seed=12)
     (tmp_path / "in.txt").write_bytes(data)
     assert main(["compress", str(tmp_path / "in.txt"), str(tmp_path / "in.trc"),
-                 "--metrics-out", str(tmp_path / "metrics.csv"), "--chunk-steps", "64",
-                 *COMPRESS_FLAGS]) == 0
+                 "--metrics-out", str(tmp_path / "metrics.csv"), *COMPRESS_FLAGS]) == 0
     return data, tmp_path / "in.trc", tmp_path / "metrics.csv"
 
 
@@ -56,3 +64,54 @@ def test_corrupted_container_exits_1_with_one_error_line(packed, tmp_path, capsy
     assert captured.out == ""
     assert re.fullmatch(rf"trc: error: {kind}: [^\n]+\n", captured.err)
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_compress_flags_default_to_the_code():
+    config, job = _job(build_parser().parse_args(["compress", "in", "out", "--seed", "0"]))
+    assert config == ModelConfig()
+    defaults = {name: p.default for name, p in inspect.signature(compress).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    assert job == {**defaults, "seed": 0}
+
+
+def test_sweep_honours_the_job_flags(tmp_path):
+    data = synthetic_text(600, seed=12)
+    (tmp_path / "in.txt").write_bytes(data)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(tmp_path / "in.txt"), "--axis", "hidden=16", "--runs", "1",
+                 "--csv-out", str(out), "--bp-controller", "--cache-size", "4",
+                 *COMPRESS_FLAGS]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    config = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3, num_heads=2)
+    rec = run_once(data, config, corpus_id="x", runs=1, seed=5, lanes=3,
+                   controller=True, cache_capacity=4)
+    assert rec.skip_frac > 0.0
+    assert (int(row["out_bytes"]), float(row["skip_frac"])) == (
+        rec.out_bytes, round(rec.skip_frac, 6))
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "corpus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_python_m_trc_round_trip_and_error(tmp_path):
+    data = synthetic_text(300, seed=3)
+    (tmp_path / "in.txt").write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(Path(trc.__file__).resolve().parent.parent)}
+
+    def trc_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "trc", *argv], capture_output=True,
+                              text=True, timeout=120, env=env, cwd=tmp_path)
+
+    assert trc_cli("compress", "in.txt", "in.trc", *COMPRESS_FLAGS).returncode == 0
+    assert trc_cli("decompress", "in.trc", "out.txt").returncode == 0
+    assert (tmp_path / "out.txt").read_bytes() == data
+    blob = (tmp_path / "in.trc").read_bytes()
+    (tmp_path / "in.trc").write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+    bad = trc_cli("decompress", "in.trc", "bad.txt")
+    assert bad.returncode == 1
+    assert re.fullmatch(r"trc: error: ChecksumMismatchError: [^\n]+\n", bad.stderr)

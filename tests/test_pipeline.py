@@ -452,18 +452,20 @@ def test_payload_tracks_ideal_cost(monkeypatch):
 # metrics
 
 
-def test_metrics_conserve_bits():
+def test_metrics_conserve_bits(monkeypatch):
+    monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 32)
     for n, lanes in ((500, 2), (2048, 7), (100, 25)):
         data = synthetic_text(n, seed=n)
-        res = compress(data, SMALL, seed=1, lanes=lanes, chunk_steps=32)
+        res = compress(data, SMALL, seed=1, lanes=lanes)
         payload = len(res.container) - HEADER_SIZE
         assert res.metrics.total_bits_out == 8 * payload
         assert res.metrics.total_bytes_in == n
 
 
-def test_metrics_chunk_structure():
+def test_metrics_chunk_structure(monkeypatch):
+    monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 100)
     data = synthetic_text(1000, seed=4)
-    res = compress(data, SMALL, seed=1, lanes=2, chunk_steps=100)
+    res = compress(data, SMALL, seed=1, lanes=2)
     segs = segment_lanes(1000, 2)
     main_steps = max(size - SMALL.window for _, size in segs)
     chunks = res.metrics.chunks
@@ -476,16 +478,18 @@ def test_metrics_chunk_structure():
     assert sum(c.bytes_in for c in chunks) == 1000 - res.metrics.warmup_bytes
 
 
-def test_metrics_skip_counts_match_stats():
+def test_metrics_skip_counts_match_stats(monkeypatch):
+    monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 50)
     data = synthetic_text(1200, seed=21)
-    res = compress(data, SMALL, seed=2, lanes=3, controller=True, chunk_steps=50)
+    res = compress(data, SMALL, seed=2, lanes=3, controller=True)
     assert sum(c.skip_count for c in res.metrics.chunks) == res.stats.skipped
     assert sum(c.steps for c in res.metrics.chunks) == res.stats.decisions
 
 
-def test_learnable_stream_loss_declines():
+def test_learnable_stream_loss_declines(monkeypatch):
+    monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 200)
     data = b"abcdefgh" * 500  # 4000 bytes of pure structure
-    res = compress(data, SMALL, seed=3, lanes=2, chunk_steps=200)
+    res = compress(data, SMALL, seed=3, lanes=2)
     chunks = res.metrics.chunks
     assert len(chunks) >= 3
     assert chunks[-1].mean_loss < chunks[0].mean_loss
@@ -518,8 +522,6 @@ def test_compress_rejects_bad_arguments():
         compress(b"x", SMALL, seed=1 << 64)
     with pytest.raises(ValueError):
         compress(b"x", SMALL, seed=1, cache_capacity=0)
-    with pytest.raises(ValueError):
-        compress(b"x", SMALL, seed=1, chunk_steps=0)
 
 
 def test_compress_rejects_model_over_the_size_cap():
@@ -532,6 +534,37 @@ def test_compress_rejects_model_over_the_size_cap():
 def test_compress_rejects_lr_that_vanishes_in_float32():
     with pytest.raises(ValueError):
         compress(b"x", SMALL, seed=1, lr=1e-60)
+
+
+# Window 2 at one lane: b"" codes nothing, b"ab" only warm-up bytes and
+# b"abcdefgh" six main-loop steps.
+EDGE = ModelConfig(hidden_dim=2, ffn_dim=2, group_size=1, context_len=2,
+                   shared_ffn_repeats=1, num_heads=1)
+_U16 = ("hidden_dim", "ffn_dim", "group_size", "context_len", "shared_ffn_repeats",
+        "num_heads", "lanes", "cache_capacity")
+
+
+@pytest.mark.parametrize("data", [b"", b"ab", b"abcdefgh"], ids=["empty", "warmup", "main"])
+@pytest.mark.parametrize("setting", [
+    *({"lr": v} for v in (float(np.finfo(np.float32).max), 1e39, float("inf"), 1e-60)),
+    *({name: v} for name in _U16 for v in (0xFFFF, 0x10000)),
+    {"seed": (1 << 64) - 1}, {"seed": 1 << 64},
+], ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()))
+def test_compress_writes_only_what_unpack_accepts(monkeypatch, data, setting):
+    # A job either fails ValueError before a symbol is coded, or stops with
+    # FloatingPointError and writes nothing (a huge lr or a deep shared FFN
+    # overflows float32), or gives a container that decodes to `data`.
+    record = CodingRecord().watch(monkeypatch)
+    job = {"seed": 1, "lanes": 1, **setting}
+    fields = {k: job.pop(k) for k in setting if hasattr(EDGE, k)}
+    try:
+        res = compress(data, dataclasses.replace(EDGE, **fields), **job)
+    except ValueError:
+        assert record.count == 0
+        return
+    except FloatingPointError:
+        return
+    assert decompress(res.container).data == data
 
 
 def test_controller_only_changes_update_schedule():
