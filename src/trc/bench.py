@@ -59,6 +59,8 @@ def run_once(data: bytes, config: ModelConfig, *, corpus_id: str, runs: int = 3,
     """Compress `data` `runs` times with compress's keyword arguments `job`
     (seed included); ratio columns from the (identical) containers, latency
     as the median wall time per input MB."""
+    if not data:
+        raise ValueError("a benchmark run needs a non-empty corpus")
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
     walls = []
@@ -71,7 +73,7 @@ def run_once(data: bytes, config: ModelConfig, *, corpus_id: str, runs: int = 3,
             raise AssertionError("nondeterministic compress in benchmark")
         result = res
     out_bytes = len(result.container)
-    mb = len(data) / 1e6 if len(data) else 1e-9
+    mb = len(data) / 1e6
     return BenchRecord(
         config=config.label(), corpus=corpus_id, in_bytes=len(data),
         out_bytes=out_bytes, cr=len(data) / out_bytes,
@@ -130,8 +132,8 @@ def order0_baseline(data: bytes) -> int:
         raise ValueError("order-0 baseline needs a non-empty corpus")
     buf = np.frombuffer(data, dtype=np.uint8)
     counts = np.bincount(buf, minlength=256).astype(np.float64)
-    q = quantize((counts + 1.0) / (len(data) + 256.0))
+    cum = quantize((counts + 1.0) / (len(data) + 256.0))
     enc = Encoder()
     for b in buf.tolist():
-        enc.encode_symbol(b, q)
+        enc.encode_symbol(b, cum)
     return len(enc.finish())

@@ -36,40 +36,12 @@ class ExhaustedStreamError(ValueError):
     """Decoder ran off the end of the payload by more than its padding slack."""
 
 
-class QuantizedDistribution:
-    """256 positive integer frequencies summing to exactly 2^16."""
+def quantize(p) -> np.ndarray:
+    """The coder's distribution for probabilities p: 257 int64 cumulative
+    frequencies cum, with cum[0] = 0, cum[256] = 2^16 and symbol s owning
+    [cum[s], cum[s+1]), at least 1 wide.
 
-    __slots__ = ("freq", "cum")
-
-    def __init__(self, freq):
-        freq = np.asarray(freq, dtype=np.int64)
-        if freq.shape != (256,):
-            raise ValueError(f"need 256 frequencies, got shape {freq.shape}")
-        if freq.min() < 1:
-            raise ValueError("every symbol needs frequency >= 1")
-        total = int(freq.sum())
-        if total != TOTAL:
-            raise ValueError(f"frequencies sum to {total}, need {TOTAL}")
-        self._set(freq)
-
-    @classmethod
-    def _trusted(cls, freq: np.ndarray) -> "QuantizedDistribution":
-        """Wrap int64 frequencies already known to be valid, skipping the
-        checks; for quantize, whose output is valid by construction."""
-        q = cls.__new__(cls)
-        q._set(freq)
-        return q
-
-    def _set(self, freq: np.ndarray) -> None:
-        self.freq = freq
-        cum = np.empty(257, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(freq, out=cum[1:])
-        self.cum = cum
-
-
-def quantize(p) -> QuantizedDistribution:
-    """freq[i] = 1 + floor(p[i] * (2^16 - 256)); the leftover (which may be
+    freq[i] = 1 + floor(p[i] * (2^16 - 256)); the leftover (which may be
     slightly negative when sum(p) > 1) goes to the most probable symbol,
     lowest index on ties. Total lands on 2^16 exactly."""
     p = np.asarray(p, dtype=np.float64)
@@ -85,7 +57,9 @@ def quantize(p) -> QuantizedDistribution:
     if leftover:
         # argmax freq >= 256 while |leftover| <= ~262, so this stays positive
         freq[int(np.argmax(p))] += leftover
-    return QuantizedDistribution._trusted(freq)
+    cum = np.zeros(257, dtype=np.int64)
+    np.cumsum(freq, out=cum[1:])
+    return cum
 
 
 UNIFORM = quantize(np.full(256, 1.0 / 256.0))
@@ -116,13 +90,13 @@ class Encoder:
         self._buf = bytearray()
         self._finished = False
 
-    def encode_symbol(self, sym: int, q: QuantizedDistribution) -> None:
+    def encode_symbol(self, sym: int, cum: np.ndarray) -> None:
         if self._finished:
             raise ValueError("encoder already finished")
         rng = self.range
-        lo = rng * int(q.cum[sym]) >> 16
+        lo = rng * int(cum[sym]) >> 16
         low = self.low + lo
-        rng = (rng * int(q.cum[sym + 1]) >> 16) - lo
+        rng = (rng * int(cum[sym + 1]) >> 16) - lo
         while True:
             if (low ^ (low + rng - 1)) >= _TOP:
                 if rng >= _BOT:
@@ -184,16 +158,16 @@ class Decoder:
         equals the encoder's count at every symbol."""
         return 8 * (self._pos - 4)
 
-    def decode_symbol(self, q: QuantizedDistribution) -> int:
+    def decode_symbol(self, cum: np.ndarray) -> int:
         low, rng = self.low, self.range
         # the symbol is the last whose rng * cum >> 16 is at most code - low,
         # that is, whose cum is at most target
         offset = (self.code - low) & _MASK
         target = min(((offset + 1 << 16) - 1) // rng, TOTAL - 1)
-        sym = bisect_right(q.cum, target) - 1
-        lo = rng * int(q.cum[sym]) >> 16
+        sym = bisect_right(cum, target) - 1
+        lo = rng * int(cum[sym]) >> 16
         low += lo
-        rng = (rng * int(q.cum[sym + 1]) >> 16) - lo
+        rng = (rng * int(cum[sym + 1]) >> 16) - lo
         while True:
             if (low ^ (low + rng - 1)) >= _TOP:
                 if rng >= _BOT:

@@ -1,7 +1,7 @@
 """The dynamic compression loop and the container file format.
 
 One file becomes B contiguous lanes coded side by side into a single
-arithmetic stream by one shared model. Each lane's first c*g bytes are
+range-coded stream by one shared model. Each lane's first c*g bytes are
 coded uniformly (the model needs that much history before it can speak);
 after that, every global step codes one byte per active lane with the
 model's pre-update prediction, then the mean loss across lanes gates one
@@ -42,13 +42,13 @@ import math
 import struct
 import time
 import zlib
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .coder import Decoder, Encoder, ExhaustedStreamError, UNIFORM, max_symbols, quantize
-from .controller import DecisionStats, LossCache, should_backprop
-from .controller import skip_fraction as _skip_fraction
 from .model import ModelConfig, TraceModel, backward, check_size, forward_probs, nll_loss
 from .nn import adam_step
 
@@ -215,37 +215,56 @@ class StreamMetrics:
             self.warmup_bits += extra
 
 
+class DecisionStats(NamedTuple):
+    """Main-loop steps, and how many of them the gate skipped."""
+
+    decisions: int
+    skipped: int
+
+
 @dataclass
-class CompressResult:
-    container: bytes
+class _Result:
+    """What both directions report: the trace, and the gate's decisions
+    summed from it."""
+
     metrics: StreamMetrics
-    stats: DecisionStats
+
+    @property
+    def stats(self) -> DecisionStats:
+        return DecisionStats(sum(c.steps for c in self.metrics.chunks),
+                             sum(c.skip_count for c in self.metrics.chunks))
 
     @property
     def skip_fraction(self) -> float:
-        return _skip_fraction(self.stats) if self.stats.decisions else 0.0
+        decisions, skipped = self.stats
+        return skipped / decisions if decisions else 0.0
 
 
 @dataclass
-class DecompressResult:
+class CompressResult(_Result):
+    container: bytes
+
+
+@dataclass
+class DecompressResult(_Result):
     data: bytes
-    stats: DecisionStats
-    metrics: StreamMetrics
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _run(header: ContainerHeader, buf: np.ndarray, code,
-         shifts) -> tuple[StreamMetrics, DecisionStats]:
+def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetrics:
     """The lane loop of both directions.
 
-    `code(i, q)` codes byte i of the file under q: the encoder reads it
-    from `buf`, the decoder decodes it into `buf`. A step's histories lie
-    before its positions in the same lanes, so they are known to both
-    sides. `shifts()` is the coder's renormalization shift count.
-    The model is built only if some lane outlasts its warm-up. A float
-    overflow or NaN raises FloatingPointError where it happens, which is the
-    same operation in both directions."""
-    stats = DecisionStats()
+    `code(i, cum)` codes byte i of the file under the cumulative
+    frequencies cum: the encoder reads it from `buf`, the decoder decodes it
+    into `buf`. A step's histories lie before its positions in the same
+    lanes, so they are known to both sides. `shifts()` is the coder's
+    renormalization shift count. The model is built only if some lane
+    outlasts its warm-up. A float overflow or NaN raises FloatingPointError
+    where it happens, which is the same operation in both directions.
+
+    With the controller on, a step updates the model only if its loss
+    exceeds the mean of the last cache_capacity losses: ties skip, and an
+    empty cache updates. Every loss then enters the cache."""
     metrics = StreamMetrics()
     window = header.config.window
     segs = np.array(segment_lanes(header.original_length, header.lanes), dtype=np.int64)
@@ -261,10 +280,11 @@ def _run(header: ContainerHeader, buf: np.ndarray, code,
 
     max_steps = int(main_lens.max())
     if max_steps == 0:
-        return metrics, stats
+        return metrics
     model = TraceModel(header.config, header.seed)
     params = model.parameters()
-    cache = LossCache(header.cache_capacity)
+    cache = deque()
+    cache_sum = 0.0
     cols = np.arange(-window, 0, dtype=np.int64)
     steps = coded = skipped = 0
     loss_sum = 0.0
@@ -275,8 +295,13 @@ def _run(header: ContainerHeader, buf: np.ndarray, code,
         for p, i in zip(probs, pos.tolist()):
             code(i, quantize(p))
         e, dlogits = nll_loss(probs, buf[pos].astype(np.int64))
-        update = should_backprop(cache, e) if header.controller_enabled else True
-        stats.record(update)
+        update = True
+        if header.controller_enabled:
+            update = not cache or e > cache_sum / len(cache)
+            cache.append(e)
+            cache_sum += e
+            if len(cache) > header.cache_capacity:
+                cache_sum -= cache.popleft()
         if update:
             backward(model, dlogits)
             adam_step(params, header.lr)
@@ -293,7 +318,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code,
             steps = coded = skipped = 0
             loss_sum = 0.0
             bits_mark, chunk_start = bits, now
-    return metrics, stats
+    return metrics
 
 
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
@@ -316,14 +341,14 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
     header.check()
     enc = Encoder()
 
-    def encode(i, q):
-        enc.encode_symbol(data[i], q)
+    def encode(i, cum):
+        enc.encode_symbol(data[i], cum)
 
-    metrics, stats = _run(header, np.frombuffer(data, dtype=np.uint8), encode, enc.shifts)
+    metrics = _run(header, np.frombuffer(data, dtype=np.uint8), encode, enc.shifts)
     payload = enc.finish() if data else b""
     metrics.add_trailer(8 * len(payload))
     header = replace(header, checksum=zlib.crc32(payload))
-    return CompressResult(container=header.pack() + payload, metrics=metrics, stats=stats)
+    return CompressResult(container=header.pack() + payload, metrics=metrics)
 
 
 def decompress(container: bytes) -> DecompressResult:
@@ -336,11 +361,11 @@ def decompress(container: bytes) -> DecompressResult:
     out = np.zeros(header.original_length, dtype=np.uint8)
     dec = Decoder(payload)
 
-    def decode(i, q):
-        out[i] = dec.decode_symbol(q)
+    def decode(i, cum):
+        out[i] = dec.decode_symbol(cum)
 
     try:
-        metrics, stats = _run(header, out, decode, dec.shifts)
+        metrics = _run(header, out, decode, dec.shifts)
     except ExhaustedStreamError as exc:
         raise TruncatedPayloadError(str(exc)) from exc
     except FloatingPointError as exc:
@@ -350,4 +375,4 @@ def decompress(container: bytes) -> DecompressResult:
     if zlib.crc32(data) != header.data_checksum:
         raise ChecksumMismatchError(
             f"decoded data crc {zlib.crc32(data):08x} != header {header.data_checksum:08x}")
-    return DecompressResult(data=data, stats=stats, metrics=metrics)
+    return DecompressResult(data=data, metrics=metrics)

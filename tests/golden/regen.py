@@ -44,6 +44,9 @@ CASES = {
                                       "cache_capacity": 8}),
     "text-lane1-lr3e-3": (synthetic_text(300, seed=22), {"seed": 3, "lanes": 1,
                                                          "lr": 3e-3}),
+    "text-gated-cache1": (synthetic_text(900, seed=23), {"seed": 4, "lanes": 3,
+                                                         "controller": True,
+                                                         "cache_capacity": 1}),
 }
 PLATFORM_FILE = HERE / "PLATFORM.json"
 

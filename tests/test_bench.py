@@ -26,6 +26,8 @@ def test_lcr_closed_form_and_equal_ratios():
 def test_run_once_rejects_no_runs():
     with pytest.raises(ValueError):
         run_once(DATA, TINY, seed=1, corpus_id="text", runs=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        run_once(b"", TINY, seed=1, corpus_id="empty")
 
 
 def test_run_once_ratio_columns():

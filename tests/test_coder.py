@@ -1,4 +1,4 @@
-"""Quantization and arithmetic-coding contracts.
+"""Quantization and range-coding contracts.
 
 Oracles: the closed-form floor rule for quantize, round-trip identity, the
 cross-entropy bound computed alongside each encode, and the SHA-256 of a
@@ -16,35 +16,18 @@ from trc.coder import (
     Decoder,
     Encoder,
     ExhaustedStreamError,
-    QuantizedDistribution,
     UNIFORM,
     max_symbols,
     quantize,
 )
 from trc.nn import Rng64
 
-# ---------------------------------------------------------------------------
-# QuantizedDistribution
-
-
-def test_distribution_validates_shape_sum_and_floor():
-    with pytest.raises(ValueError):
-        QuantizedDistribution(np.ones(255, dtype=np.int64))
-    with pytest.raises(ValueError):
-        QuantizedDistribution(np.full(256, 256, dtype=np.int64) + 1)
-    bad = np.full(256, 256, dtype=np.int64)
-    bad[0] = 0
-    bad[1] = 512
-    with pytest.raises(ValueError):
-        QuantizedDistribution(bad)
-
 
 def test_distribution_cumulative_structure():
-    q = UNIFORM
-    assert q.cum[0] == 0
-    assert q.cum[256] == TOTAL
-    assert np.all(np.diff(q.cum) >= 1)
-    assert np.array_equal(np.diff(q.cum), q.freq)
+    assert UNIFORM.shape == (257,)
+    assert UNIFORM[0] == 0
+    assert UNIFORM[256] == TOTAL
+    assert np.all(np.diff(UNIFORM) == 256)
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +35,18 @@ def test_distribution_cumulative_structure():
 
 
 def test_quantize_uniform_gives_256_each():
-    q = quantize(np.full(256, 1.0 / 256.0))
-    assert np.all(q.freq == 256)
+    freq = np.diff(quantize(np.full(256, 1.0 / 256.0)))
+    assert np.all(freq == 256)
 
 
 def test_quantize_near_one_hot():
     delta = 1e-9
     p = np.full(256, delta)
     p[0] = 1.0 - 255 * delta
-    q = quantize(p)
-    assert q.freq[0] == TOTAL - 255
-    assert np.all(q.freq[1:] == 1)
-    assert int(q.freq.sum()) == TOTAL
+    freq = np.diff(quantize(p))
+    assert freq[0] == TOTAL - 255
+    assert np.all(freq[1:] == 1)
+    assert int(freq.sum()) == TOTAL
 
 
 def test_quantize_follows_floor_rule_with_leftover_to_argmax():
@@ -71,14 +54,14 @@ def test_quantize_follows_floor_rule_with_leftover_to_argmax():
     for _ in range(10_000):
         raw = rng.random(256) + 1e-9
         p = raw / raw.sum()
-        q = quantize(p)
-        assert int(q.freq.sum()) == TOTAL
-        assert q.freq.min() >= 1
+        freq = np.diff(quantize(p))
+        assert int(freq.sum()) == TOTAL
+        assert freq.min() >= 1
         base = 1 + np.floor(p * float(TOTAL - 256)).astype(np.int64)
         leftover = TOTAL - int(base.sum())
         want = base.copy()
         want[int(np.argmax(p))] += leftover
-        assert np.array_equal(q.freq, want)
+        assert np.array_equal(freq, want)
 
 
 def test_quantize_deterministic_and_dtype_stable():
@@ -86,7 +69,8 @@ def test_quantize_deterministic_and_dtype_stable():
     p32 /= p32.sum()
     a = quantize(p32)
     b = quantize(p32)
-    assert np.array_equal(a.freq, b.freq)
+    assert a.dtype == b.dtype == np.int64
+    assert np.array_equal(a, b)
 
 
 def test_quantize_rejects_bad_input():
@@ -108,9 +92,8 @@ def test_quantize_rejects_bad_input():
 
 
 def test_quantize_output_passes_full_validation():
-    # quantize builds its result without QuantizedDistribution's checks, so
-    # every output must pass them: random, near-one-hot, and sums off by
-    # just under the 1e-4 quantize allows, in float64 and float32
+    # every output is a valid cumulative table: random, near-one-hot, and
+    # sums off by just under the 1e-4 quantize allows, in float64 and float32
     rng = np.random.default_rng(19)
     inputs = []
     for _ in range(200):
@@ -126,22 +109,28 @@ def test_quantize_output_passes_full_validation():
             inputs.append(raw / raw.sum() * (1.0 + sign * 0.99e-4))
     inputs += [p.astype(np.float32) for p in inputs[::5]]
     for p in inputs:
-        q = quantize(p)
-        full = QuantizedDistribution(q.freq)
-        assert np.array_equal(full.cum, q.cum)
+        cum = quantize(p)
+        assert cum.shape == (257,) and cum.dtype == np.int64
+        assert cum[0] == 0 and cum[256] == TOTAL
+        assert np.diff(cum).min() >= 1
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def skewed_q(hot: int, p_hot: float = 0.99) -> QuantizedDistribution:
+def cum_of(freq):
+    """Cumulative frequencies of 256 hand-made positive frequencies."""
+    return np.concatenate(([0], np.cumsum(freq))).astype(np.int64)
+
+
+def skewed_q(hot: int, p_hot: float = 0.99) -> np.ndarray:
     p = np.full(256, (1.0 - p_hot) / 255.0)
     p[hot] = p_hot
     return quantize(p)
 
 
-def random_q(rng) -> QuantizedDistribution:
+def random_q(rng) -> np.ndarray:
     raw = rng.random(256) + 1e-6
     return quantize(raw / raw.sum())
 
@@ -210,7 +199,7 @@ def test_encoder_decoder_state_trajectories_match():
 
 
 def cross_entropy_bits(symbols, qs):
-    return sum(-math.log2(int(q.freq[s]) / TOTAL) for s, q in zip(symbols, qs))
+    return sum(-math.log2(int(q[s + 1] - q[s]) / TOTAL) for s, q in zip(symbols, qs))
 
 
 def test_uniform_coding_costs_one_byte_per_symbol():
@@ -301,7 +290,7 @@ def test_decoder_stops_within_max_symbols():
     # 0 it also decodes from the zeros read past the end of a prefix
     freq = np.ones(256, dtype=np.int64)
     freq[0] = TOTAL - 255
-    q = QuantizedDistribution(freq)
+    q = cum_of(freq)
     enc = Encoder()
     for _ in range(25_000):
         enc.encode_symbol(0, q)
@@ -348,10 +337,10 @@ def _pinned_stream():
     rng = Rng64(2203)
     skewed = np.ones(256, dtype=np.int64)
     skewed[200] = TOTAL - 255
-    qs = [UNIFORM, QuantizedDistribution(skewed)]
+    qs = [UNIFORM, cum_of(skewed)]
     for _ in range(6):
         cuts = sorted(rng.next_u64() % (TOTAL - 255) for _ in range(255))
-        qs.append(QuantizedDistribution(np.diff([0] + cuts + [TOTAL - 256]) + 1))
+        qs.append(cum_of(np.diff([0] + cuts + [TOTAL - 256]) + 1))
     out = []
     for _ in range(4000):
         q = qs[rng.next_u64() % len(qs)]

@@ -397,24 +397,23 @@ class CodingRecord:
         self.count = 0
         self.cost_bits = 0.0
 
-    def observe(self, q, sym):
-        self.digest = zlib.crc32(q.freq.astype("<u4").tobytes() + bytes([sym]),
-                                 self.digest)
+    def observe(self, cum, sym):
+        self.digest = zlib.crc32(cum.astype("<u4").tobytes() + bytes([sym]), self.digest)
         self.count += 1
-        self.cost_bits += 16.0 - math.log2(int(q.freq[sym]))
+        self.cost_bits += 16.0 - math.log2(int(cum[sym + 1] - cum[sym]))
 
     def watch(self, monkeypatch):
         """Observe every symbol the Encoder and Decoder classes code until
         the test ends."""
         encode_symbol, decode_symbol = Encoder.encode_symbol, Decoder.decode_symbol
 
-        def encode(coder, sym, q):
-            self.observe(q, sym)
-            encode_symbol(coder, sym, q)
+        def encode(coder, sym, cum):
+            self.observe(cum, sym)
+            encode_symbol(coder, sym, cum)
 
-        def decode(coder, q):
-            sym = decode_symbol(coder, q)
-            self.observe(q, sym)
+        def decode(coder, cum):
+            sym = decode_symbol(coder, cum)
+            self.observe(cum, sym)
             return sym
 
         monkeypatch.setattr(Encoder, "encode_symbol", encode)
@@ -484,6 +483,59 @@ def test_metrics_skip_counts_match_stats(monkeypatch):
     res = compress(data, SMALL, seed=2, lanes=3, controller=True)
     assert sum(c.skip_count for c in res.metrics.chunks) == res.stats.skipped
     assert sum(c.steps for c in res.metrics.chunks) == res.stats.decisions
+
+
+def _fresh_mean_gate(losses, capacity):
+    """Update iff no loss came before, or e beats the mean of the last
+    `capacity` losses."""
+    out = []
+    for i, e in enumerate(losses):
+        recent = losses[max(0, i - capacity):i]
+        out.append(not recent or e > math.fsum(recent) / len(recent))
+    return out
+
+
+_ALTERNATING = [1.0 if i % 2 else 3.0 for i in range(1000)]
+_RANDOM = (np.random.default_rng(23).random(2000) * 8.0).tolist()
+
+
+@pytest.mark.parametrize("capacity, losses, skip_range", [
+    (16, [1.0, 2.0, 3.0, 2.5], (0.0, 0.0)),
+    (16, [5.0, 5.0, 5.0, 4.0], None),
+    (8, [2.0, 2.0, 2.0], None),
+    (8, [3.0] * 5 + [3.0001, 2.9999], None),
+    (4, [0.0], (0.0, 0.0)),
+    (1, [5.0, 6.0, 5.5, 5.6], None),
+    (2, [1.0, 9.0, 2.0, 5.4], None),
+    # 2.8 beats the mean of all four earlier losses (2.5) but not of the
+    # last three (3.0): it is skipped only if 1.0 was evicted.
+    (3, [1.0, 2.0, 3.0, 4.0, 2.8], None),
+    (16, [3.5] * 100, (0.99, 0.99)),
+    (16, _ALTERNATING, (0.4, 0.6)),
+    (16, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0, 0.0, 0.0], (0.4, 0.4)),
+    (16, _RANDOM, None),
+], ids=["above-mean", "below-mean", "tie", "3.0001-vs-3.0", "empty-cache",
+        "capacity-1", "capacity-2", "capacity-3-eviction", "constant",
+        "alternating", "skip-fraction-0.4", "random-2000"])
+def test_gate_updates_iff_loss_beats_the_cache_mean(monkeypatch, capacity, losses,
+                                                    skip_range):
+    # One step per chunk, so each chunk's skip_count is one decision; the
+    # scripted losses drive the gate while training keeps the real gradient.
+    monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 1)
+    script = iter(losses)
+    real_nll_loss = trc.pipeline.nll_loss
+
+    def scripted(probs, targets):
+        return next(script), real_nll_loss(probs, targets)[1]
+
+    monkeypatch.setattr(trc.pipeline, "nll_loss", scripted)
+    data = synthetic_text(EDGE.window + len(losses), seed=len(losses))
+    res = compress(data, EDGE, seed=1, lanes=1, controller=True, cache_capacity=capacity)
+    decisions = [c.skip_count == 0 for c in res.metrics.chunks]
+    assert decisions == _fresh_mean_gate(losses, capacity)
+    assert (res.stats.decisions, res.stats.skipped) == (len(losses), decisions.count(False))
+    if skip_range is not None:
+        assert skip_range[0] <= res.skip_fraction <= skip_range[1]
 
 
 def test_learnable_stream_loss_declines(monkeypatch):
