@@ -47,10 +47,11 @@ def quantize(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (256,):
         raise ValueError(f"need 256 probabilities, got shape {p.shape}")
-    if p.min() <= 0.0:
+    # written so that NaN fails both checks
+    if not p.min() > 0.0:
         raise ValueError("probabilities must be strictly positive")
     s = float(p.sum())
-    if abs(s - 1.0) > 1e-4:
+    if not abs(s - 1.0) <= 1e-4:
         raise ValueError(f"probabilities sum to {s!r}, outside 1 +/- 1e-4")
     freq = 1 + np.floor(p * float(TOTAL - 256)).astype(np.int64)
     leftover = TOTAL - int(freq.sum())

@@ -6,11 +6,13 @@ transformer layer whose FFN is applied N times with a single shared weight
 pair, and the last position's representation drives a 256-way softmax.
 There is no layer normalization and no causal mask.
 
-The graph is fixed, so its backward is written out by hand: `forward_probs`
-keeps the activations `backward` needs on the model, `nll_loss` gives the
-logit gradient, and `backward` writes every parameter's gradient into the
-buffer allocated with it. Everything runs in the parameters' dtype: float32
-in production, float64 for gradient checking.
+The trainable state is four flat arrays, the values, their gradients and
+Adam's two moments, laid out by `weight_shapes`; each weight is a pair of
+views into the first two. The graph is fixed, so its backward is written out
+by hand: `forward_probs` keeps the activations `backward` needs on the model,
+`nll_loss` gives the logit gradient, and `backward` writes every weight's
+gradient into its view. Everything runs in the arrays' dtype: float32 in
+production, float64 for gradient checking.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import (
-    Parameter,
-    Rng64,
     fill_uniform,
     gather_rows,
     gelu,
@@ -81,14 +81,28 @@ class ModelConfig:
                 f"-c{self.context_len}-N{self.shared_ffn_repeats}-H{self.num_heads}")
 
 
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Every weight's (fan_in, fan_out), in the order the weights lie in the
+    flat arrays. The order is part of the format: each weight's initial values
+    are the PRNG draws at its flat offsets, and the decoder rebuilds the model
+    from the seed alone."""
+    h = config.hidden_dim
+    return {
+        "byte_embedding": (VOCAB, h // config.group_size),
+        "positional_embedding": (config.context_len, h),
+        "wq": (h, h),
+        "wk": (h, h),
+        "wv": (h, h),
+        "wo": (h, h),
+        "w1": (h, config.ffn_dim),
+        "w2": (config.ffn_dim, h),
+        "output_head": (h, VOCAB),
+    }
+
+
 def parameter_count(config: ModelConfig) -> int:
     """Total trainable scalars; independent of shared_ffn_repeats."""
-    h = config.hidden_dim
-    return (VOCAB * (h // config.group_size)
-            + config.context_len * h
-            + 4 * h * h
-            + 2 * h * config.ffn_dim
-            + h * VOCAB)
+    return sum(a * b for a, b in weight_shapes(config).values())
 
 
 def check_size(config: ModelConfig, lanes: int) -> None:
@@ -105,12 +119,6 @@ def check_size(config: ModelConfig, lanes: int) -> None:
     if n > MAX_STEP_FLOATS:
         raise ValueError(f"a step of model {config.label()} over {lanes} lanes "
                          f"holds {n} floats, more than {MAX_STEP_FLOATS}")
-
-
-# initialization order is part of the format: the decoder rebuilds the model
-# from the seed alone, so every build must consume the PRNG identically
-_INIT_ORDER = ("byte_embedding", "positional_embedding", "wq", "wk", "wv",
-               "wo", "w1", "w2", "output_head")
 
 
 class _Saved(NamedTuple):
@@ -131,41 +139,49 @@ class _Saved(NamedTuple):
     probs: np.ndarray      # (B, 256)
 
 
+class Weight(NamedTuple):
+    """One weight matrix and its gradient: views into a TraceModel's flat
+    values and grads."""
+
+    value: np.ndarray
+    grad: np.ndarray
+
+
 class TraceModel:
     """All trainable state, the config that shaped it, and the activations
     of the last forward pass.
 
-    Weights are Glorot-uniform from a single SplitMix64 stream in a fixed
-    parameter order, so (config, seed) fully determines the model.
+    values, grads, m and v are flat arrays of parameter_count(config)
+    entries; steps counts the Adam steps taken. Weights are Glorot-uniform:
+    the weight at flat offset lo takes draws lo, lo+1, ... of one SplitMix64
+    stream, so (config, seed) fully determines the model.
     """
 
-    __slots__ = ("config", "byte_embedding", "positional_embedding",
-                 "wq", "wk", "wv", "wo", "w1", "w2", "output_head", "saved")
+    __slots__ = ("config", "values", "grads", "m", "v", "steps", "saved",
+                 *weight_shapes(ModelConfig()))
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.saved = None
-        h = config.hidden_dim
-        shapes = {
-            "byte_embedding": (VOCAB, h // config.group_size),
-            "positional_embedding": (config.context_len, h),
-            "wq": (h, h),
-            "wk": (h, h),
-            "wv": (h, h),
-            "wo": (h, h),
-            "w1": (h, config.ffn_dim),
-            "w2": (config.ffn_dim, h),
-            "output_head": (h, VOCAB),
-        }
-        rng = Rng64(seed)
-        for name in _INIT_ORDER:
-            fan_in, fan_out = shapes[name]
+        self.steps = 0
+        self.values = np.empty(parameter_count(config), dtype=np.float32)
+        self.grads, self.m, self.v = (np.zeros_like(self.values) for _ in range(3))
+        lo = 0
+        for fan_in, fan_out in weight_shapes(config).values():
+            n = fan_in * fan_out
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            data = fill_uniform(rng, fan_in * fan_out, -bound, bound)
-            setattr(self, name, Parameter(data.reshape(fan_in, fan_out).astype(np.float32)))
+            self.values[lo:lo + n] = fill_uniform(seed, lo, n, -bound, bound)
+            lo += n
+        self.bind()
 
-    def parameters(self) -> list[Parameter]:
-        return [getattr(self, n) for n in _INIT_ORDER]
+    def bind(self) -> None:
+        """Point every weight at its slice of values and grads."""
+        lo = 0
+        for name, shape in weight_shapes(self.config).items():
+            hi = lo + shape[0] * shape[1]
+            setattr(self, name, Weight(self.values[lo:hi].reshape(shape),
+                                       self.grads[lo:hi].reshape(shape)))
+            lo = hi
 
 
 def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Array kernels for the model's one fixed graph, Adam, and a deterministic PRNG.
+"""Array kernels for the model's one fixed graph, Adam over flat arrays, and
+a counter-indexed SplitMix64 for the initial weights.
 
 There is no tape: `model.forward_probs` calls the forward ops below and
 `model.backward` applies their hand-written derivatives. The forward ops are
@@ -118,32 +119,14 @@ def scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     out[present] = np.add.reduceat(g.reshape(-1, out.shape[1])[order], starts, axis=0)
 
 
-class Parameter:
-    """A trainable array with its gradient and Adam moments.
-
-    All four arrays share the value's dtype and are allocated once, here;
-    training updates them in place, so `value` keeps its identity. State
-    starts at zero except the value."""
-
-    __slots__ = ("value", "grad", "m", "v", "step_count")
-
-    def __init__(self, data):
-        arr = np.array(data, copy=True)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("parameter init contains non-finite values")
-        self.value = arr
-        self.grad = np.zeros_like(arr)
-        self.m = np.zeros_like(arr)
-        self.v = np.zeros_like(arr)
-        self.step_count = 0
+# Adam's hyperparameters (Kingma & Ba's defaults); the replay contract fixes them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """Bias-corrected Adam on every parameter, in place; bumps step_count and
-    leaves the grads as they are.
+def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float) -> None:
+    """Bias-corrected Adam step number t (counted from 1) on flat arrays of
+    one dtype, in place; leaves grad as it is.
 
     The moments are stored unscaled, m~ = m / (1-b1) and v~ = v / (1-b2):
 
@@ -159,63 +142,44 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
     so every scale is folded into the two scalars k and eps', and each element
     takes ten passes: two for m~, three for v~ (one squares g), then sqrt, add
     eps', divide, scale by k and subtract from the value. They run slice by
-    slice, with one slice of scratch."""
+    slice, with one slice of scratch; every pass is elementwise, so where the
+    slices fall does not change a bit."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    for p in params:
-        t = p.step_count + 1
-        r = math.sqrt((1.0 - beta2 ** t) / (1.0 - beta2))
-        k = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * r
-        eps_t = eps * r
-        value, grad, m, v = (a.reshape(-1) for a in (p.value, p.grad, p.m, p.v))
-        n = value.size
-        scratch = np.empty(min(n, SLICE), dtype=value.dtype)
-        for lo, hi in _slices(n):
-            g, mi, vi, s = grad[lo:hi], m[lo:hi], v[lo:hi], scratch[:hi - lo]
-            mi *= beta1
-            mi += g
-            vi *= beta2
-            np.multiply(g, g, out=s)
-            vi += s
-            np.sqrt(vi, out=s)
-            s += eps_t
-            np.divide(mi, s, out=s)
-            s *= k
-            value[lo:hi] -= s
-        p.step_count = t
+    r = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
+    k = lr * (1.0 - BETA1) / (1.0 - BETA1 ** t) * r
+    eps_t = EPS * r
+    scratch = np.empty(min(value.size, SLICE), dtype=value.dtype)
+    for lo, hi in _slices(value.size):
+        g, mi, vi, s = grad[lo:hi], m[lo:hi], v[lo:hi], scratch[:hi - lo]
+        mi *= BETA1
+        mi += g
+        vi *= BETA2
+        np.multiply(g, g, out=s)
+        vi += s
+        np.sqrt(vi, out=s)
+        s += eps_t
+        np.divide(mi, s, out=s)
+        s *= k
+        value[lo:hi] -= s
 
 
-class Rng64:
-    """SplitMix64: one 64-bit word of state, identical sequence on any platform."""
+def fill_uniform(seed: int, first: int, n: int, lo: float, hi: float) -> np.ndarray:
+    """Draws first .. first+n-1 of the SplitMix64 stream seeded with `seed`,
+    each as (u64 >> 11) * 2^-53 scaled into [lo, hi), in a new float64 array.
 
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4E1C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-
-def fill_uniform(rng: Rng64, n: int, lo: float, hi: float) -> np.ndarray:
-    """n draws in [lo, hi), (rng.next_u64() >> 11) * 2^-53 scaled into range,
-    computed vectorized.
-
-    SplitMix64 state advances by a fixed constant per draw, so the n states
-    are an affine jump from the current one; mixing is elementwise.
-    """
+    SplitMix64's state after draw i is seed + (i+1)*gamma mod 2^64, and the
+    output mixes that state alone, so any run of draws is computed directly,
+    elementwise, with the same bits on every platform. The format fixes gamma
+    at 0x9E3779B97F4E1C15, which is not the reference code's ...4A7C15."""
     if not lo < hi:
         raise ValueError(f"empty range: lo={lo!r} must be < hi={hi!r}")
     # z and t are the only arrays: the mixing runs in place in z, t takes each
     # shifted copy and, at the end, becomes the float64 result. uint64 array
-    # arithmetic wraps mod 2^64 like the scalar path.
-    z = np.arange(1, n + 1, dtype=np.uint64)
+    # arithmetic wraps mod 2^64.
+    z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4E1C15)
-    z += np.uint64(rng.state)
+    z += np.uint64(seed & _MASK64)
     t = np.empty_like(z)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, np.uint64(shift), out=t)
@@ -228,5 +192,4 @@ def fill_uniform(rng: Rng64, n: int, lo: float, hi: float) -> np.ndarray:
     r *= hi - lo
     r += lo
     np.minimum(r, math.nextafter(hi, -math.inf), out=r)
-    rng.state = (rng.state + n * 0x9E3779B97F4E1C15) & _MASK64
     return r

@@ -199,10 +199,6 @@ class StreamMetrics:
     chunks: list = field(default_factory=list)
 
     @property
-    def total_bytes_in(self) -> int:
-        return self.warmup_bytes + sum(c.bytes_in for c in self.chunks)
-
-    @property
     def total_bits_out(self) -> int:
         return self.warmup_bits + sum(c.bits_out for c in self.chunks)
 
@@ -282,7 +278,6 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     if max_steps == 0:
         return metrics
     model = TraceModel(header.config, header.seed)
-    params = model.parameters()
     cache = deque()
     cache_sum = 0.0
     cols = np.arange(-window, 0, dtype=np.int64)
@@ -304,7 +299,8 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
                 cache_sum -= cache.popleft()
         if update:
             backward(model, dlogits)
-            adam_step(params, header.lr)
+            model.steps += 1
+            adam_step(model.values, model.grads, model.m, model.v, model.steps, header.lr)
         steps += 1
         coded += len(pos)
         loss_sum += e

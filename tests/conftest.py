@@ -32,14 +32,15 @@ def numeric_grad(loss_fn, arrays, step=1e-3):
 
 
 def float64_model(config, seed):
-    """TraceModel(config, seed) with every parameter widened to float64, so
-    the whole forward and backward run in float64."""
-    from trc.model import _INIT_ORDER, TraceModel
-    from trc.nn import Parameter
+    """TraceModel(config, seed) with its four flat arrays widened to float64
+    and its weights re-bound to them, so the whole forward and backward run
+    in float64."""
+    from trc.model import TraceModel
 
     model = TraceModel(config, seed)
-    for name in _INIT_ORDER:
-        setattr(model, name, Parameter(getattr(model, name).value.astype(np.float64)))
+    for name in ("values", "grads", "m", "v"):
+        setattr(model, name, getattr(model, name).astype(np.float64))
+    model.bind()
     return model
 
 

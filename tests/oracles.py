@@ -1,11 +1,12 @@
 """Reference implementations the production code is checked against.
 
-The scalar PRNG draw is the definition `nn.fill_uniform` vectorizes, and
-`TextbookAdam` is the update `nn.adam_step` rearranges. The full-sequence
-transformer layer evaluates every position the way the model is defined,
-in plain float64 numpy with its own GELU and softmax; `model.forward_probs`
-computes only what reaches the last position's prediction and must agree
-with it there.
+`splitmix64` is the one scalar SplitMix64 stream: `nn.fill_uniform` computes
+any run of its draws directly, and `rng_uniform` turns one draw into a float
+the way fill_uniform does. `TextbookAdam` is the update `nn.adam_step`
+rearranges. The full-sequence transformer layer evaluates every position the
+way the model is defined, in plain float64 numpy with its own GELU and
+softmax; `model.forward_probs` computes only what reaches the last
+position's prediction and must agree with it there.
 """
 
 from __future__ import annotations
@@ -17,11 +18,26 @@ import numpy as np
 from trc.model import TraceModel, forward_probs
 
 
-def rng_uniform(rng, lo: float, hi: float) -> float:
-    """One draw in [lo, hi) from an nn.Rng64; reproducible from seed."""
+def splitmix64(seed: int):
+    """SplitMix64 (Steele, Lea & Flood 2014): endless 64-bit draws from one
+    64-bit word of state, the same on every platform. The state increment is
+    0x9E3779B97F4E1C15, not the reference code's 0x9E3779B97F4A7C15; it is
+    odd, so the period is still 2^64, and the container format fixes it."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4E1C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def rng_uniform(draws, lo: float, hi: float) -> float:
+    """The next draw of a splitmix64 stream as a float in [lo, hi)."""
     if not lo < hi:
         raise ValueError(f"empty range: lo={lo!r} must be < hi={hi!r}")
-    u = (rng.next_u64() >> 11) * 2.0 ** -53
+    u = (next(draws) >> 11) * 2.0 ** -53
     r = lo + (hi - lo) * u
     if r >= hi:  # float rounding can hit the open bound on tiny ranges
         r = math.nextafter(hi, -math.inf)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import splitmix64
 from trc.coder import (
     TOTAL,
     Decoder,
@@ -20,7 +21,6 @@ from trc.coder import (
     max_symbols,
     quantize,
 )
-from trc.nn import Rng64
 
 
 def test_distribution_cumulative_structure():
@@ -89,6 +89,12 @@ def test_quantize_rejects_bad_input():
         quantize(p * 1.1)
     with pytest.raises(ValueError):
         quantize(np.full(128, 1.0 / 128.0))
+    with pytest.raises(ValueError):
+        quantize(np.full(256, np.nan))
+    bad = p.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError):
+        quantize(bad)
 
 
 def test_quantize_output_passes_full_validation():
@@ -334,18 +340,18 @@ PINNED_PAYLOAD_SHA256 = "ef770d810dca7cc59ef524dc986da634b2ffbb9d86c1bd17940f256
 def _pinned_stream():
     """A fixed stream of (symbol, distribution) pairs from SplitMix64 and
     integer arithmetic alone: uniform, skewed and random frequencies."""
-    rng = Rng64(2203)
+    rng = splitmix64(2203)
     skewed = np.ones(256, dtype=np.int64)
     skewed[200] = TOTAL - 255
     qs = [UNIFORM, cum_of(skewed)]
     for _ in range(6):
-        cuts = sorted(rng.next_u64() % (TOTAL - 255) for _ in range(255))
+        cuts = sorted(next(rng) % (TOTAL - 255) for _ in range(255))
         qs.append(cum_of(np.diff([0] + cuts + [TOTAL - 256]) + 1))
     out = []
     for _ in range(4000):
-        q = qs[rng.next_u64() % len(qs)]
-        sym = rng.next_u64() % 256
-        if q is qs[1] and rng.next_u64() % 16:
+        q = qs[next(rng) % len(qs)]
+        sym = next(rng) % 256
+        if q is qs[1] and next(rng) % 16:
             sym = 200
         out.append((int(sym), q))
     return out

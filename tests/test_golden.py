@@ -29,7 +29,7 @@ def test_compress_reproduces_golden_container(name):
     assert (HERE / f"{name}.in").read_bytes() == data
     want = (HERE / f"{name}.trc").read_bytes()
     assert len(want) < 1024
-    assert compress(data, TINY, **kwargs).container == want
+    assert compress(data, **{"config": TINY, **kwargs}).container == want
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

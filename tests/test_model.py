@@ -23,6 +23,7 @@ from trc.model import (
     forward_probs,
     nll_loss,
     parameter_count,
+    weight_shapes,
 )
 from trc.nn import adam_step
 
@@ -59,12 +60,17 @@ def test_config_is_frozen():
         cfg.hidden_dim = 128
 
 
+def _weights(model):
+    return [getattr(model, name) for name in weight_shapes(model.config)]
+
+
 def test_parameter_count_matches_shape_sum():
     for cfg in (ModelConfig(), TINY,
                 ModelConfig(hidden_dim=64, ffn_dim=128, group_size=1,
                             context_len=3, num_heads=4)):
         model = TraceModel(cfg, seed=1)
-        assert parameter_count(cfg) == sum(p.value.size for p in model.parameters())
+        assert parameter_count(cfg) == model.values.size
+        assert parameter_count(cfg) == sum(w.value.size for w in _weights(model))
 
 
 def test_parameter_count_default_value():
@@ -105,8 +111,7 @@ def test_shared_ffn_is_one_parameter_pair():
 def test_same_seed_bit_identical_weights():
     a = TraceModel(TINY, seed=77)
     b = TraceModel(TINY, seed=77)
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa.value, pb.value)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_different_seeds_differ():
@@ -117,7 +122,7 @@ def test_different_seeds_differ():
 
 def test_init_respects_glorot_bounds():
     model = TraceModel(TINY, seed=3)
-    for p in model.parameters():
+    for p in _weights(model):
         fan_in, fan_out = p.value.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         data = p.value
@@ -356,7 +361,8 @@ def test_predict_memorizes_repeating_stream():
     for _ in range(500):
         _, dlogits = nll_loss(forward_probs(model, windows), targets)
         backward(model, dlogits)
-        adam_step(model.parameters(), lr=0.01)
+        model.steps += 1
+        adam_step(model.values, model.grads, model.m, model.v, model.steps, lr=0.01)
     p0 = predict(bytes([a, b] * 4), model)
     p1 = predict(bytes([b, a] * 4), model)
     assert p0[a] > 0.9
@@ -390,8 +396,8 @@ def run_model_gradcheck(cfg, seed):
     backward(model, dlogits)
 
     used_rows = np.unique(histories)
-    for p, name in zip(model.parameters(), ("emb", "pos", "wq", "wk", "wv",
-                                            "wo", "w1", "w2", "head")):
+    for p, name in zip(_weights(model), ("emb", "pos", "wq", "wk", "wv",
+                                         "wo", "w1", "w2", "head")):
         analytic = p.grad.copy()
         if name == "emb":
             # untouched vocabulary rows: gradient must be exactly zero
@@ -437,6 +443,6 @@ def test_float32_step_gradients_track_float64():
         _, dlogits = nll_loss(forward_probs(model, histories), targets)
         backward(model, dlogits)
     np.testing.assert_allclose(m32.saved.probs, m64.saved.probs, rtol=tol, atol=0)
-    for p32, p64 in zip(m32.parameters(), m64.parameters()):
+    for p32, p64 in zip(_weights(m32), _weights(m64)):
         assert p32.grad.dtype == np.float32
         assert np.abs(p32.grad - p64.grad).max() <= tol * np.abs(p64.grad).max()
