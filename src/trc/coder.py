@@ -30,6 +30,8 @@ _MASK = (1 << 32) - 1
 _TOP = 1 << 24  # unit of the top byte of a 32-bit value
 _BOT = 1 << 16  # least range that codes every frequency >= 1 to a nonempty range
 MAX_OVERDRAW = 8  # zero bytes the decoder reads past the payload before giving up
+_SCALE = float(TOTAL - 256)  # quantize's share above the 1 each symbol keeps
+_RAMP = np.arange(257, dtype=np.int64)  # those 1s, accumulated
 
 
 class ExhaustedStreamError(ValueError):
@@ -43,23 +45,31 @@ def quantize(p) -> np.ndarray:
 
     freq[i] = 1 + floor(p[i] * (2^16 - 256)); the leftover (which may be
     slightly negative when sum(p) > 1) goes to the most probable symbol,
-    lowest index on ties. Total lands on 2^16 exactly."""
+    lowest index on ties. Total lands on 2^16 exactly.
+
+    cum is built in place, with no freq array: the floors are cast straight
+    into cum[1:] (truncation is floor, as every p[i] > 0), accumulated, and
+    raised by k for the 1s, so cum[k] = k + sum_{i<k} floor(p[i] * 65280);
+    the leftover is then added to cum[argmax + 1:]. A float32 p gives the
+    same table as its float64 copy, since widening is exact."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (256,):
         raise ValueError(f"need 256 probabilities, got shape {p.shape}")
-    # written so that NaN fails both checks
-    if not p.min() > 0.0:
+    # written so that NaN fails both checks; the ufunc reductions are what
+    # p.min() and p.sum() call, without their Python wrappers
+    if not np.minimum.reduce(p) > 0.0:
         raise ValueError("probabilities must be strictly positive")
-    s = float(p.sum())
+    s = float(np.add.reduce(p))
     if not abs(s - 1.0) <= 1e-4:
         raise ValueError(f"probabilities sum to {s!r}, outside 1 +/- 1e-4")
-    freq = 1 + np.floor(p * float(TOTAL - 256)).astype(np.int64)
-    leftover = TOTAL - int(freq.sum())
+    cum = np.zeros(257, dtype=np.int64)
+    np.multiply(p, _SCALE, out=cum[1:], casting="unsafe")
+    np.add.accumulate(cum, out=cum)
+    cum += _RAMP
+    leftover = TOTAL - int(cum[256])
     if leftover:
         # argmax freq >= 256 while |leftover| <= ~262, so this stays positive
-        freq[int(np.argmax(p))] += leftover
-    cum = np.zeros(257, dtype=np.int64)
-    np.cumsum(freq, out=cum[1:])
+        cum[p.argmax() + 1:] += leftover
     return cum
 
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import (
+    SLICE,
     fill_uniform,
     gather_rows,
     gelu,
@@ -164,14 +165,19 @@ class TraceModel:
         self.config = config
         self.saved = None
         self.steps = 0
-        self.values = np.empty(parameter_count(config), dtype=np.float32)
-        self.grads, self.m, self.v = (np.zeros_like(self.values) for _ in range(3))
+        n = parameter_count(config)
+        self.values = np.empty(n, dtype=np.float32)
+        # np.zeros takes pages the OS zeroes on first touch, in backward and Adam
+        self.grads, self.m, self.v = (np.zeros(n, dtype=np.float32) for _ in range(3))
         lo = 0
         for fan_in, fan_out in weight_shapes(config).values():
-            n = fan_in * fan_out
+            hi = lo + fan_in * fan_out
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.values[lo:lo + n] = fill_uniform(seed, lo, n, -bound, bound)
-            lo += n
+            # draw in SLICE runs, so the float64 temporaries stay small
+            for a in range(lo, hi, SLICE):
+                b = min(a + SLICE, hi)
+                self.values[a:b] = fill_uniform(seed, a, b - a, -bound, bound)
+            lo = hi
         self.bind()
 
     def bind(self) -> None:

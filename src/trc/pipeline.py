@@ -15,6 +15,10 @@ in float32 with plain sgemm, whose blocking and summation order are the
 kernel's own, so another kernel family (say, AVX2 against AVX-512) can round
 differently. Where that breaks, the decoded bytes fail the data checksum
 and decompress raises ChecksumMismatchError; it never returns wrong bytes.
+The BLAS thread count is outside the contract on this build (numpy 2.4.6,
+OpenBLAS 0.3.31): the paper default over 64 lanes gives the same container
+with 1 and with 2 threads, which the tests check. OpenBLAS does not promise
+this; a build whose threads split the sums inside one output would break it.
 
 Container layout, version 5 (little-endian, fixed width, 50 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
@@ -287,7 +291,8 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     for s in range(max_steps):
         pos = starts[main_lens > s] + s
         probs = forward_probs(model, buf[pos[:, None] + cols])
-        for p, i in zip(probs, pos.tolist()):
+        # widen once per step; quantize then takes each float64 row as it is
+        for p, i in zip(probs.astype(np.float64), pos.tolist()):
             code(i, quantize(p))
         e, dlogits = nll_loss(probs, buf[pos].astype(np.int64))
         update = True

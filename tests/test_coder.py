@@ -7,6 +7,7 @@ fixed stream's payload.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,43 @@ def test_quantize_follows_floor_rule_with_leftover_to_argmax():
         want = base.copy()
         want[int(np.argmax(p))] += leftover
         assert np.array_equal(freq, want)
+
+
+def test_quantize_float32_equals_its_float64_copy_and_the_floor_rule():
+    # the pipeline hands quantize float64 rows widened from the model's
+    # float32; a float32 row must give the same table, and the closed-form
+    # rule, worked exactly on its values, with the lowest index winning a
+    # tied maximum
+    rng = np.random.default_rng(23)
+    rows = []
+    for _ in range(100):
+        raw = rng.random(256) + 1e-9
+        rows.append(raw / raw.sum())
+    for hot in rng.integers(0, 256, 20):
+        p = np.full(256, 1e-12)
+        p[hot] = 1.0 - 255e-12
+        rows.append(p)
+    for _ in range(20):
+        p = rng.random(256) * 0.5
+        a, b = sorted(rng.choice(256, 2, replace=False))
+        p[a] = p[b] = 1.0
+        rows.append(p / p.sum())
+    for sign in (1.0, -1.0):
+        for _ in range(20):
+            raw = rng.random(256) ** 8 + 1e-9
+            rows.append(raw / raw.sum() * (1.0 + sign * 0.99e-4))
+    tied = 0
+    for row in rows:
+        p32 = row.astype(np.float32)
+        cum = quantize(p32)
+        assert np.array_equal(cum, quantize(p32.astype(np.float64)))
+        values = [Fraction(float(x)) for x in p32]
+        freq = [1 + math.floor(x * (TOTAL - 256)) for x in values]
+        top = values.index(max(values))
+        tied += values.count(max(values)) > 1
+        freq[top] += TOTAL - sum(freq)
+        assert np.array_equal(np.diff(cum), freq)
+    assert tied >= 20
 
 
 def test_quantize_deterministic_and_dtype_stable():

@@ -25,7 +25,7 @@ from trc.model import (
     parameter_count,
     weight_shapes,
 )
-from trc.nn import adam_step
+from trc.nn import SLICE, adam_step, fill_uniform
 
 TINY = ModelConfig(hidden_dim=16, ffn_dim=32, group_size=2, context_len=4,
                    shared_ffn_repeats=2, num_heads=2)
@@ -118,6 +118,25 @@ def test_different_seeds_differ():
     a = TraceModel(TINY, seed=77)
     b = TraceModel(TINY, seed=78)
     assert not np.array_equal(a.byte_embedding.value, b.byte_embedding.value)
+
+
+def test_init_drawn_in_slices_equals_one_draw_per_weight():
+    # w1 and w2 are two SLICE runs long, so init draws them in pieces; each
+    # weight must still be one run of draws from its flat offset, and the
+    # gradient and both moments must start at zero
+    config = ModelConfig(hidden_dim=64, ffn_dim=2048, num_heads=4)
+    model = TraceModel(config, seed=11)
+    lo = 0
+    for name, (fan_in, fan_out) in weight_shapes(config).items():
+        n = fan_in * fan_out
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        want = fill_uniform(11, lo, n, -bound, bound).astype(np.float32)
+        assert np.array_equal(getattr(model, name).value.reshape(-1), want), name
+        lo += n
+    assert max(a * b for a, b in weight_shapes(config).values()) > SLICE
+    for state in (model.grads, model.m, model.v):
+        assert state.dtype == np.float32 and state.shape == model.values.shape
+        assert not state.any()
 
 
 def test_init_respects_glorot_bounds():

@@ -381,6 +381,37 @@ def test_replay_is_bit_identical_across_calls_and_processes():
         assert decompress(container).data == data
 
 
+_COMPRESS_PAPER_LANES = """\
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import synthetic_text
+from trc.model import ModelConfig
+from trc.pipeline import compress, decompress
+data = synthetic_text(64 * 40, seed=4)
+container = compress(data, ModelConfig(), seed=0, lanes=64).container
+assert decompress(container).data == data
+print(hashlib.sha256(container).hexdigest())
+"""
+
+
+def test_replay_is_bit_identical_across_blas_thread_counts():
+    # the paper default over 64 lanes runs products large enough for
+    # OpenBLAS to split over threads; the thread count must not reach the
+    # bits. It is set before numpy loads, in a fresh process each time.
+    tests = Path(__file__).resolve().parent
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(tests)}
+        run = subprocess.run(
+            [sys.executable, "-c", _COMPRESS_PAPER_LANES,
+             str(Path(trc.__file__).resolve().parent.parent)],
+            capture_output=True, check=True, timeout=300, env=env, text=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 def test_different_seed_changes_container():
     data = synthetic_text(1500, seed=2)
     a = compress(data, SMALL, seed=1, lanes=4)
@@ -549,6 +580,29 @@ def test_gated_run_takes_one_adam_step_per_update(monkeypatch):
     calls.clear()
     assert decompress(res.container).data == data
     assert calls == list(range(1, updates + 1))
+
+
+def test_quantize_is_called_once_per_main_loop_byte_on_float64_rows(monkeypatch):
+    # trc.pipeline.quantize is the seam the benchmark's tracer counts: one
+    # call per lane per main-loop step, each on one float64 row, in both
+    # directions and with lanes of uneven length
+    rows = []
+    real_quantize = trc.pipeline.quantize
+
+    def watched(p):
+        rows.append(p)
+        return real_quantize(p)
+
+    monkeypatch.setattr(trc.pipeline, "quantize", watched)
+    data = synthetic_text(1000, seed=22)
+    res = compress(data, SMALL, seed=4, lanes=3)
+    compress_rows = rows[:]
+    rows.clear()
+    assert decompress(res.container).data == data
+    assert res.metrics.warmup_bytes == 3 * SMALL.window
+    for seen in (compress_rows, rows):
+        assert len(seen) == len(data) - res.metrics.warmup_bytes
+        assert all(p.dtype == np.float64 and p.shape == (256,) for p in seen)
 
 
 def test_learnable_stream_loss_declines(monkeypatch):
