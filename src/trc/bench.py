@@ -17,7 +17,7 @@ import numpy as np
 
 from .coder import Encoder, quantize
 from .model import ModelConfig, parameter_count
-from .pipeline import HEADER_SIZE, compress
+from .pipeline import compress
 
 CSV_HEADER = ("config", "corpus", "in_bytes", "out_bytes", "cr", "bpc",
               "ms_per_mb", "skip_frac", "lcr")
@@ -29,14 +29,17 @@ class BenchRecord:
     corpus: str
     in_bytes: int
     out_bytes: int
-    cr: float
     ms_per_mb: float
     skip_frac: float
     lcr: float | None = None
 
     @property
+    def cr(self) -> float:
+        return self.in_bytes / self.out_bytes
+
+    @property
     def bpc(self) -> float:
-        return 8.0 / self.cr
+        return 8.0 * self.out_bytes / self.in_bytes
 
     def row(self) -> list:
         return [self.config, self.corpus, self.in_bytes, self.out_bytes,
@@ -46,7 +49,8 @@ class BenchRecord:
 
 
 def lcr(t_i: float, cr_i: float, t_0: float, cr_0: float) -> float:
-    """Latency increment per unit of compression-ratio improvement."""
+    """Latency increment per unit of compression-ratio improvement; for two
+    records, lcr(a.ms_per_mb, a.cr, b.ms_per_mb, b.cr) measures a against b."""
     if cr_i == cr_0:
         raise ValueError(
             f"latency-per-ratio undefined: both configs reach cr={cr_i!r} "
@@ -72,12 +76,10 @@ def run_once(data: bytes, config: ModelConfig, *, corpus_id: str, runs: int = 3,
         if result is not None and res.container != result.container:
             raise AssertionError("nondeterministic compress in benchmark")
         result = res
-    out_bytes = len(result.container)
-    mb = len(data) / 1e6
     return BenchRecord(
         config=config.label(), corpus=corpus_id, in_bytes=len(data),
-        out_bytes=out_bytes, cr=len(data) / out_bytes,
-        ms_per_mb=1000.0 * statistics.median(walls) / mb,
+        out_bytes=len(result.container),
+        ms_per_mb=1000.0 * statistics.median(walls) / (len(data) / 1e6),
         skip_frac=result.skip_fraction)
 
 
@@ -88,20 +90,18 @@ class SweepResult:
     failures: list = field(default_factory=list)
 
 
-def sweep(data: bytes, cells: list[ModelConfig], *,
-          reference: ModelConfig | None = None, corpus_id: str = "corpus",
+def sweep(data: bytes, cells: list[ModelConfig], *, corpus_id: str = "corpus",
           **job) -> SweepResult:
     """Run every cell on the same corpus and job (run_once's keyword
-    arguments); fill in each record's latency-per-ratio against the
-    reference cell (defaulting to the cell with the fewest parameters).
-    Cell failures are recorded, not fatal."""
+    arguments) and fill in each record's latency-per-ratio against the
+    reference: the cell with the fewest parameters, the first on a tie. The
+    reference runs first and its failure raises; any other cell's failure
+    is recorded, not fatal."""
     if not cells:
         raise ValueError("sweep needs at least one cell")
-    if reference is None:
-        reference = min(cells, key=parameter_count)
-    out = SweepResult()
+    reference = min(cells, key=parameter_count)
     ref_rec = run_once(data, reference, corpus_id=corpus_id, **job)
-    out.reference = ref_rec
+    out = SweepResult(reference=ref_rec)
     for cfg in cells:
         if cfg == reference:
             out.records.append(ref_rec)

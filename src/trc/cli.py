@@ -1,5 +1,9 @@
 """Command-line front end: compress, decompress, sweep.
 
+`trc sweep` takes one model field per `--axis name=v1,v2` and runs one cell
+per value, with the other fields from their flags. Its lcr column is
+measured against the cell with the fewest parameters, the first on a tie.
+
 Success exits 0. Any failure prints one line to stderr in the form
 `trc: error: <Kind>: <message>` and exits 1 (argparse keeps its own exit 2
 for usage mistakes).
@@ -49,20 +53,6 @@ def _job(args) -> tuple[ModelConfig, dict]:
     return config, {name: getattr(args, name) for name in ("seed", *compress.__kwdefaults__)}
 
 
-def _parse_fields(spec: str) -> dict[str, list[int]]:
-    """'hidden=64,128,ffn=512' -> {'hidden_dim': [64, 128], 'ffn_dim': [512]}."""
-    out: dict[str, list[int]] = {}
-    for part in spec.split(","):
-        name, eq, value = part.rpartition("=")
-        if eq and name in _AXES:
-            values = out.setdefault(_AXES[name], [])
-        elif eq or not out:
-            raise ValueError(f"expected name=v1,v2[,name=v] with name in "
-                             f"{sorted(_AXES)}, got {spec!r}")
-        values.append(int(value))
-    return out
-
-
 def _write_metrics(path: str, metrics) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -105,19 +95,17 @@ def _cmd_sweep(args) -> int:
     base, job = _job(args)
     cells = []
     for spec in args.axis:
-        for name, values in _parse_fields(spec).items():
-            for v in values:
-                cfg = replace(base, **{name: v})
-                if cfg not in cells:
-                    cells.append(cfg)
-    reference = None
-    if args.reference:
-        overrides = _parse_fields(args.reference)
-        if any(len(v) != 1 for v in overrides.values()):
-            raise ValueError(f"reference gives one value per name, got {args.reference!r}")
-        reference = replace(base, **{k: v for k, (v,) in overrides.items()})
-    result = sweep(data, cells, reference=reference, corpus_id=args.corpus,
-                   runs=args.runs, **job)
+        flag, _, text = spec.partition("=")
+        try:
+            name, values = _AXES[flag], [int(v) for v in text.split(",")]
+        except (KeyError, ValueError):
+            raise ValueError(f"expected --axis name=v1,v2 with name in {sorted(_AXES)}, "
+                             f"got {spec!r}") from None
+        for v in values:
+            cfg = replace(base, **{name: v})
+            if cfg not in cells:
+                cells.append(cfg)
+    result = sweep(data, cells, corpus_id=args.corpus, runs=args.runs, **job)
     write_csv(result.records, args.csv_out)
     for label, why in result.failures:
         print(f"trc: sweep cell {label} failed: {why}", file=sys.stderr)
@@ -150,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a structure sweep, one axis at a time")
     p.add_argument("corpus")
     p.add_argument("--axis", action="append", required=True,
-                   help="cells like hidden=64,128,256, one per value; repeatable")
-    p.add_argument("--reference", default=None,
-                   help="reference cell overrides like hidden=128,ffn=512 "
-                        "(default: fewest parameters)")
+                   help="one model field and its values, like hidden=64,128,256: "
+                        "one cell per value, the other fields from their flags; "
+                        "repeatable. lcr is taken against the cell with the fewest "
+                        "parameters (the first on a tie); trc.bench.lcr gives it "
+                        "against any other row from the cr and ms_per_mb columns")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=run_once.__kwdefaults__["runs"],
                    help="timing repetitions (default %(default)s)")

@@ -172,13 +172,15 @@ class Decoder:
     def decode_symbol(self, cum: np.ndarray) -> int:
         low, rng = self.low, self.range
         # the symbol is the last whose rng * cum >> 16 is at most code - low,
-        # that is, whose cum is at most target
+        # that is, whose cum is at most target; a memoryview's items are
+        # Python ints, so bisect's probes box no numpy scalars
+        cum = memoryview(cum)
         offset = (self.code - low) & _MASK
         target = min(((offset + 1 << 16) - 1) // rng, TOTAL - 1)
         sym = bisect_right(cum, target) - 1
-        lo = rng * int(cum[sym]) >> 16
+        lo = rng * cum[sym] >> 16
         low += lo
-        rng = (rng * int(cum[sym + 1]) >> 16) - lo
+        rng = (rng * cum[sym + 1] >> 16) - lo
         while True:
             if (low ^ (low + rng - 1)) >= _TOP:
                 if rng >= _BOT:

@@ -294,7 +294,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
         # widen once per step; quantize then takes each float64 row as it is
         for p, i in zip(probs.astype(np.float64), pos.tolist()):
             code(i, quantize(p))
-        e, dlogits = nll_loss(probs, buf[pos].astype(np.int64))
+        e, dlogits = nll_loss(probs, buf[pos])
         update = True
         if header.controller_enabled:
             update = not cache or e > cache_sum / len(cache)

@@ -1,8 +1,10 @@
 """The command line through `main(argv)` and `python -m trc`: a file round
-trip, the metrics CSV, the one-line error report for a bad container, and
-job flags that default to the code's own defaults and reach every command."""
+trip, the metrics CSV, the one-line error report for a bad container, job
+flags that default to the code's own defaults and reach every command, and
+the sweep's cells, its reference and its failing cells."""
 
 import csv
+import dataclasses
 import inspect
 import os
 import re
@@ -16,11 +18,12 @@ from conftest import synthetic_text
 import trc
 from trc.bench import run_once
 from trc.cli import _job, build_parser, main
-from trc.model import ModelConfig
+from trc.model import ModelConfig, parameter_count
 from trc.pipeline import HEADER_SIZE, compress
 
 COMPRESS_FLAGS = ["--hidden", "16", "--ffn", "24", "--groups", "2", "--context", "3",
               "--heads", "2", "--lanes", "3", "--seed", "5"]
+BASE = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3, num_heads=2)
 
 
 @pytest.fixture
@@ -83,12 +86,76 @@ def test_sweep_honours_the_job_flags(tmp_path):
                  *COMPRESS_FLAGS]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
-    config = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3, num_heads=2)
-    rec = run_once(data, config, corpus_id="x", runs=1, seed=5, lanes=3,
+    rec = run_once(data, BASE, corpus_id="x", runs=1, seed=5, lanes=3,
                    controller=True, cache_capacity=4)
     assert rec.skip_frac > 0.0
     assert (int(row["out_bytes"]), float(row["skip_frac"])) == (
         rec.out_bytes, round(rec.skip_frac, 6))
+
+
+def run_sweep(tmp_path, capsys, *argv, data=synthetic_text(300, seed=8)):
+    """Exit code, CSV rows (None if none was written) and stderr of one
+    `trc sweep` over `data` with COMPRESS_FLAGS and one timing run."""
+    (tmp_path / "in.txt").write_bytes(data)
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    code = main(["sweep", str(tmp_path / "in.txt"), "--runs", "1", "--csv-out", str(out),
+                 *COMPRESS_FLAGS, *argv])
+    rows = None
+    if out.exists():
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    return code, rows, capsys.readouterr().err
+
+
+def test_sweep_reference_is_the_first_cell_with_fewest_parameters(tmp_path, capsys):
+    cells = [dataclasses.replace(BASE, shared_ffn_repeats=n) for n in (1, 2)]
+    assert parameter_count(cells[0]) == parameter_count(cells[1])
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "shared-ffn=1,2")
+    assert (code, err) == (0, "")
+    assert [r["config"] for r in rows] == [c.label() for c in cells]
+    assert rows[0]["cr"] != rows[1]["cr"]
+    assert rows[0]["lcr"] == "" and rows[1]["lcr"] != ""
+
+
+def test_sweep_reports_a_failing_cell_and_writes_the_others(tmp_path, capsys):
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "ffn=24,70000")
+    assert code == 0
+    assert [r["config"] for r in rows] == [BASE.label()]
+    bad = dataclasses.replace(BASE, ffn_dim=70000).label()
+    assert re.fullmatch(rf"trc: sweep cell {bad} failed: ValueError: [^\n]+\n", err)
+
+
+def test_two_axis_flags_give_the_cells_of_the_old_multi_field_spec(tmp_path, capsys):
+    # the cells `--axis hidden=12,16,ffn=20,24` used to give; hidden=16 and
+    # ffn=24 both name the base cell, which gets one row
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "hidden=12,16",
+                                "--axis", "ffn=20,24")
+    assert (code, err) == (0, "")
+    assert [r["config"] for r in rows] == [
+        dataclasses.replace(BASE, hidden_dim=12).label(), BASE.label(),
+        dataclasses.replace(BASE, ffn_dim=20).label()]
+
+
+@pytest.mark.parametrize("spec", ["hidden=12,ffn=20", "hidden=", "lanes=2", "hidden"])
+def test_a_malformed_axis_exits_1_naming_the_form(tmp_path, capsys, spec):
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", spec)
+    assert (code, rows) == (1, None)
+    assert re.fullmatch(r"trc: error: ValueError: expected --axis name=v1,v2 [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("data, argv", [(b"", []), (b"abc", ["--runs", "0"])])
+def test_a_failing_reference_exits_1_with_one_error_line(tmp_path, capsys, data, argv):
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "hidden=12,16", *argv, data=data)
+    assert (code, rows) == (1, None)
+    assert re.fullmatch(r"trc: error: ValueError: [^\n]+\n", err)
+
+
+def test_sweep_has_no_reference_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_sweep(tmp_path, capsys, "--axis", "hidden=12,16", "--reference", "hidden=16")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reference" in capsys.readouterr().err
 
 
 def test_bench_is_not_a_command(capsys):
