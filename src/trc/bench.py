@@ -1,6 +1,9 @@
 """Measurement harness: per-config records, the latency-per-ratio metric,
 structure sweeps, and an order-0 coding baseline.
 
+A sweep runs every cell alike, so a failing cell stops no other, and takes
+its lcr reference from the cells that ran.
+
 Compression columns of every record are deterministic given (corpus, seed,
 config); timing columns are whatever this machine did today, so tests gate
 on the former and only report the latter.
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +28,7 @@ CSV_HEADER = ("config", "corpus", "in_bytes", "out_bytes", "cr", "bpc",
 
 @dataclass
 class BenchRecord:
-    config: str
+    config: ModelConfig
     corpus: str
     in_bytes: int
     out_bytes: int
@@ -42,7 +45,7 @@ class BenchRecord:
         return 8.0 * self.out_bytes / self.in_bytes
 
     def row(self) -> list:
-        return [self.config, self.corpus, self.in_bytes, self.out_bytes,
+        return [self.config.label(), self.corpus, self.in_bytes, self.out_bytes,
                 repr(self.cr), repr(self.bpc), f"{self.ms_per_mb:.3f}",
                 f"{self.skip_frac:.6f}",
                 "" if self.lcr is None else f"{self.lcr:.6f}"]
@@ -58,62 +61,44 @@ def lcr(t_i: float, cr_i: float, t_0: float, cr_0: float) -> float:
     return (t_i - t_0) / (cr_i - cr_0)
 
 
-def run_once(data: bytes, config: ModelConfig, *, corpus_id: str, runs: int = 3,
-             **job) -> BenchRecord:
-    """Compress `data` `runs` times with compress's keyword arguments `job`
-    (seed included); ratio columns from the (identical) containers, latency
-    as the median wall time per input MB."""
+def sweep(data: bytes, cells: list[ModelConfig], *, corpus_id: str = "corpus",
+          runs: int = 3, **job) -> tuple[list[BenchRecord], list[tuple[str, str]]]:
+    """Compress `data` `runs` times per cell, with compress's keyword
+    arguments `job` (seed included), and return the records of the cells
+    that ran and a (label, "Kind: message") failure for each that did not.
+
+    Every cell runs alike: its ratio columns come from the (identical)
+    containers, its latency is the median wall time per input MB, and its
+    failure is recorded, not fatal. lcr is then filled in against the
+    reference, the record with the fewest parameters among the cells that
+    ran, the first on a tie."""
     if not data:
         raise ValueError("a benchmark run needs a non-empty corpus")
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
-    walls = []
-    result = None
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        res = compress(data, config, **job)
-        walls.append(time.perf_counter() - t0)
-        if result is not None and res.container != result.container:
-            raise AssertionError("nondeterministic compress in benchmark")
-        result = res
-    return BenchRecord(
-        config=config.label(), corpus=corpus_id, in_bytes=len(data),
-        out_bytes=len(result.container),
-        ms_per_mb=1000.0 * statistics.median(walls) / (len(data) / 1e6),
-        skip_frac=result.skip_fraction)
-
-
-@dataclass
-class SweepResult:
-    records: list = field(default_factory=list)
-    reference: BenchRecord | None = None
-    failures: list = field(default_factory=list)
-
-
-def sweep(data: bytes, cells: list[ModelConfig], *, corpus_id: str = "corpus",
-          **job) -> SweepResult:
-    """Run every cell on the same corpus and job (run_once's keyword
-    arguments) and fill in each record's latency-per-ratio against the
-    reference: the cell with the fewest parameters, the first on a tie. The
-    reference runs first and its failure raises; any other cell's failure
-    is recorded, not fatal."""
-    if not cells:
-        raise ValueError("sweep needs at least one cell")
-    reference = min(cells, key=parameter_count)
-    ref_rec = run_once(data, reference, corpus_id=corpus_id, **job)
-    out = SweepResult(reference=ref_rec)
-    for cfg in cells:
-        if cfg == reference:
-            out.records.append(ref_rec)
-            continue
+    records, failures = [], []
+    for config in cells:
         try:
-            rec = run_once(data, cfg, corpus_id=corpus_id, **job)
-            if rec.cr != ref_rec.cr:
-                rec.lcr = lcr(rec.ms_per_mb, rec.cr, ref_rec.ms_per_mb, ref_rec.cr)
-            out.records.append(rec)
+            walls, result = [], None
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                res = compress(data, config, **job)
+                walls.append(time.perf_counter() - t0)
+                if result is not None and res.container != result.container:
+                    raise AssertionError("nondeterministic compress in benchmark")
+                result = res
+            records.append(BenchRecord(
+                config=config, corpus=corpus_id, in_bytes=len(data),
+                out_bytes=len(result.container),
+                ms_per_mb=1000.0 * statistics.median(walls) / (len(data) / 1e6),
+                skip_frac=result.skip_fraction))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            out.failures.append((cfg.label(), f"{type(exc).__name__}: {exc}"))
-    return out
+            failures.append((config.label(), f"{type(exc).__name__}: {exc}"))
+    ref = min(records, key=lambda rec: parameter_count(rec.config), default=None)
+    for rec in records:
+        if rec.cr != ref.cr:
+            rec.lcr = lcr(rec.ms_per_mb, rec.cr, ref.ms_per_mb, ref.cr)
+    return records, failures
 
 
 def write_csv(records: list[BenchRecord], path) -> None:

@@ -1,8 +1,10 @@
 """Command-line front end: compress, decompress, sweep.
 
 `trc sweep` takes one model field per `--axis name=v1,v2` and runs one cell
-per value, with the other fields from their flags. Its lcr column is
-measured against the cell with the fewest parameters, the first on a tie.
+per value, with the other fields from their flags. Every cell runs alike: a
+failing cell gets one stderr line and stops no other. lcr is measured
+against the cell with the fewest parameters among those that ran, the first
+on a tie. A sweep in which no cell ran exits 1 and writes no CSV.
 
 Success exits 0. Any failure prints one line to stderr in the form
 `trc: error: <Kind>: <message>` and exits 1 (argparse keeps its own exit 2
@@ -16,7 +18,7 @@ import csv
 import sys
 from dataclasses import asdict, fields, replace
 
-from .bench import run_once, sweep, write_csv
+from .bench import sweep, write_csv
 from .model import ModelConfig
 from .pipeline import compress, decompress
 
@@ -105,12 +107,15 @@ def _cmd_sweep(args) -> int:
             cfg = replace(base, **{name: v})
             if cfg not in cells:
                 cells.append(cfg)
-    result = sweep(data, cells, corpus_id=args.corpus, runs=args.runs, **job)
-    write_csv(result.records, args.csv_out)
-    for label, why in result.failures:
+    records, failures = sweep(data, cells, corpus_id=args.corpus, runs=args.runs, **job)
+    if not records:
+        label, why = failures[0]
+        raise ValueError(f"no sweep cell ran; the first, {label}, failed: {why}")
+    write_csv(records, args.csv_out)
+    for label, why in failures:
         print(f"trc: sweep cell {label} failed: {why}", file=sys.stderr)
-    print(f"wrote {len(result.records)} records to {args.csv_out}"
-          + (f" ({len(result.failures)} failed cells)" if result.failures else ""))
+    print(f"wrote {len(records)} records to {args.csv_out}"
+          + (f" ({len(failures)} failed cells)" if failures else ""))
     return 0
 
 
@@ -140,11 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", required=True,
                    help="one model field and its values, like hidden=64,128,256: "
                         "one cell per value, the other fields from their flags; "
-                        "repeatable. lcr is taken against the cell with the fewest "
-                        "parameters (the first on a tie); trc.bench.lcr gives it "
-                        "against any other row from the cr and ms_per_mb columns")
+                        "repeatable. Every cell runs alike; a sweep in which no cell "
+                        "ran exits 1. lcr is taken against the cell with the fewest "
+                        "parameters among those that ran (the first on a tie); "
+                        "trc.bench.lcr gives it against any other row from the cr "
+                        "and ms_per_mb columns")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=run_once.__kwdefaults__["runs"],
+    p.add_argument("--runs", type=int, default=sweep.__kwdefaults__["runs"],
                    help="timing repetitions (default %(default)s)")
     p.add_argument("--csv-out", dest="csv_out", default="sweep.csv")
     _add_job_flags(p)

@@ -138,31 +138,18 @@ class Encoder:
 class Decoder:
     """Mirror of Encoder over a fixed payload; total for arbitrary bytes.
 
-    Reads past the end yield zero bytes, which is what the encoder's seal
-    implies; more than MAX_OVERDRAW such reads means the caller is decoding
-    symbols that were never encoded."""
+    The payload is read with MAX_OVERDRAW zero bytes appended, the zeros
+    the encoder's seal implies; a read past them means the caller is
+    decoding symbols that were never encoded."""
 
     __slots__ = ("low", "range", "code", "_data", "_pos")
 
     def __init__(self, payload: bytes):
         self.low = 0
         self.range = 1 << 32
-        self._data = payload
-        self._pos = 0
-        self.code = 0
-        for _ in range(4):
-            self.code = (self.code << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        pos = self._pos
-        self._pos = pos + 1
-        if pos < len(self._data):
-            return self._data[pos]
-        if pos - len(self._data) >= MAX_OVERDRAW:
-            raise ExhaustedStreamError(
-                f"needed {pos + 1 - len(self._data)} bytes past the end of a "
-                f"{len(self._data)}-byte payload")
-        return 0
+        self._data = bytes(payload) + bytes(MAX_OVERDRAW)
+        self.code = int.from_bytes(self._data[:4], "big")
+        self._pos = 4
 
     def shifts(self) -> int:
         """Bits shifted in so far, 8 per byte past the 4 that primed `code`;
@@ -186,7 +173,13 @@ class Decoder:
                 if rng >= _BOT:
                     break
                 rng = _BOT - (low & (_BOT - 1))
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK
+            try:
+                self.code = ((self.code << 8) | self._data[self._pos]) & _MASK
+            except IndexError:
+                raise ExhaustedStreamError(
+                    f"needed {MAX_OVERDRAW + 1} bytes past the end of a "
+                    f"{len(self._data) - MAX_OVERDRAW}-byte payload") from None
+            self._pos += 1
             low = (low << 8) & _MASK
             rng <<= 8
         self.low, self.range = low, rng

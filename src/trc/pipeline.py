@@ -25,13 +25,7 @@ immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
 controller u8, cache u16, seed u64, original_length u64, data crc32 u32
 (of the original bytes), payload crc32 u32. The payload is the byte-wise
-range coder's output (see coder.py). Versions 2 to 4 had the same header
-but a bit-at-a-time arithmetic coder, whose payload bytes mean something
-else, so a version 4 payload does not decode here even though its model
-trains the same bits. Versions 2 and 3 also train differently in the last
-bits: version 2 accumulated in float64, and version 3 stored Adam's moments
-scaled by (1 - beta), arranged the GELU derivative differently and summed
-the byte-embedding gradient row by row with np.add.at.
+range coder's output (see coder.py). unpack accepts this version only.
 
 A header can ask only for what the decoder is able to hold: a model of at
 most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS

@@ -1,13 +1,14 @@
-"""Measurement harness contracts: the latency-per-ratio formula, sweep cell
-isolation and its default reference, and the CSV layout. Timing columns are
-only checked for shape; ratio columns are deterministic."""
+"""Measurement harness contracts: the latency-per-ratio formula, the sweep's
+job checks, its cell isolation and its reference, and the CSV layout.
+Timing columns are only checked for shape; ratio columns are deterministic."""
 
 import csv
 
 import pytest
 
 from conftest import synthetic_text
-from trc.bench import CSV_HEADER, lcr, run_once, sweep, write_csv
+import trc.bench
+from trc.bench import CSV_HEADER, lcr, sweep, write_csv
 from trc.model import MAX_PARAMETERS, ModelConfig, parameter_count
 
 TINY = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)
@@ -23,16 +24,18 @@ def test_lcr_closed_form_and_equal_ratios():
         lcr(30.0, 2.0, 10.0, 2.0)
 
 
-def test_run_once_rejects_no_runs():
-    with pytest.raises(ValueError):
-        run_once(DATA, TINY, seed=1, corpus_id="text", runs=0)
+def test_sweep_rejects_an_empty_corpus_and_no_runs():
+    with pytest.raises(ValueError, match="runs must be positive"):
+        sweep(DATA, [TINY], seed=1, corpus_id="text", runs=0)
     with pytest.raises(ValueError, match="non-empty"):
-        run_once(b"", TINY, seed=1, corpus_id="empty")
+        sweep(b"", [TINY], seed=1, corpus_id="empty")
 
 
-def test_run_once_ratio_columns():
-    rec = run_once(DATA, TINY, seed=1, corpus_id="text", lanes=4, runs=2)
-    assert (rec.config, rec.corpus, rec.in_bytes) == (TINY.label(), "text", len(DATA))
+def test_one_cell_sweep_ratio_columns():
+    (rec,), failures = sweep(DATA, [TINY], seed=1, corpus_id="text", lanes=4, runs=2)
+    assert failures == []
+    assert (rec.config, rec.corpus, rec.in_bytes) == (TINY, "text", len(DATA))
+    assert rec.row()[0] == TINY.label()
     assert rec.cr == len(DATA) / rec.out_bytes
     assert rec.bpc == pytest.approx(8.0 * rec.out_bytes / len(DATA))
     assert rec.ms_per_mb > 0.0 and rec.skip_frac == 0.0 and rec.lcr is None
@@ -40,20 +43,39 @@ def test_run_once_ratio_columns():
 
 def test_sweep_isolates_a_failing_cell_and_defaults_the_reference():
     assert parameter_count(TOO_BIG) > MAX_PARAMETERS
-    out = sweep(DATA, [WIDER, TOO_BIG, TINY], seed=1, corpus_id="text", lanes=4, runs=1)
-    assert out.reference.config == TINY.label()  # the fewest parameters
-    assert [r.config for r in out.records] == [WIDER.label(), TINY.label()]
-    assert out.records[1] is out.reference
-    assert [label for label, _ in out.failures] == [TOO_BIG.label()]
-    assert out.failures[0][1].startswith("ValueError:")
-    wider, ref = out.records[0], out.reference
-    assert wider.cr != ref.cr
+    records, failures = sweep(DATA, [WIDER, TOO_BIG, TINY], seed=1, corpus_id="text",
+                              lanes=4, runs=1)
+    assert [r.config for r in records] == [WIDER, TINY]
+    assert [label for label, _ in failures] == [TOO_BIG.label()]
+    assert failures[0][1].startswith("ValueError:")
+    wider, ref = records  # TINY has the fewest parameters
+    assert wider.cr != ref.cr and ref.lcr is None
     assert wider.lcr == lcr(wider.ms_per_mb, wider.cr, ref.ms_per_mb, ref.cr)
 
 
+def test_sweep_records_a_nondeterministic_cell_and_writes_the_other(monkeypatch, tmp_path):
+    calls = []
+    real = trc.bench.compress
+
+    def flaky(data, config, **job):
+        res = real(data, config, **job)
+        calls.append(config)
+        if config == WIDER and calls.count(WIDER) == 2:
+            res.container += b"\0"
+        return res
+
+    monkeypatch.setattr(trc.bench, "compress", flaky)
+    records, failures = sweep(DATA, [WIDER, TINY], seed=1, corpus_id="text", lanes=4, runs=2)
+    assert calls == [WIDER, WIDER, TINY, TINY]
+    assert failures == [(WIDER.label(),
+                         "AssertionError: nondeterministic compress in benchmark")]
+    write_csv(records, tmp_path / "bench.csv")
+    with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as fh:
+        assert [row["config"] for row in csv.DictReader(fh)] == [TINY.label()]
+
+
 def test_write_csv_has_the_header_and_a_row_per_record(tmp_path):
-    records = [run_once(DATA, cfg, seed=1, corpus_id="text", lanes=4, runs=1)
-               for cfg in (TINY, WIDER)]
+    records, _ = sweep(DATA, [TINY, WIDER], seed=1, corpus_id="text", lanes=4, runs=1)
     records[1].lcr = 1.5
     path = tmp_path / "bench.csv"
     write_csv(records, path)

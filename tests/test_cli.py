@@ -1,7 +1,8 @@
 """The command line through `main(argv)` and `python -m trc`: a file round
 trip, the metrics CSV, the one-line error report for a bad container, job
 flags that default to the code's own defaults and reach every command, and
-the sweep's cells, its reference and its failing cells."""
+the sweep's cells, its reference and its failing cells, which stop no
+other cell."""
 
 import csv
 import dataclasses
@@ -16,7 +17,8 @@ import pytest
 
 from conftest import synthetic_text
 import trc
-from trc.bench import run_once
+import trc.bench
+from trc.bench import sweep
 from trc.cli import _job, build_parser, main
 from trc.model import ModelConfig, parameter_count
 from trc.pipeline import HEADER_SIZE, compress
@@ -86,8 +88,8 @@ def test_sweep_honours_the_job_flags(tmp_path):
                  *COMPRESS_FLAGS]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
-    rec = run_once(data, BASE, corpus_id="x", runs=1, seed=5, lanes=3,
-                   controller=True, cache_capacity=4)
+    (rec,), _ = sweep(data, [BASE], runs=1, seed=5, lanes=3, controller=True,
+                      cache_capacity=4)
     assert rec.skip_frac > 0.0
     assert (int(row["out_bytes"]), float(row["skip_frac"])) == (
         rec.out_bytes, round(rec.skip_frac, 6))
@@ -144,10 +146,37 @@ def test_a_malformed_axis_exits_1_naming_the_form(tmp_path, capsys, spec):
     assert re.fullmatch(r"trc: error: ValueError: expected --axis name=v1,v2 [^\n]+\n", err)
 
 
-@pytest.mark.parametrize("data, argv", [(b"", []), (b"abc", ["--runs", "0"])])
-def test_a_failing_reference_exits_1_with_one_error_line(tmp_path, capsys, data, argv):
-    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "hidden=12,16", *argv, data=data)
+def test_a_failing_cell_stops_no_other_in_either_order(tmp_path, capsys):
+    # both cells have the same parameter count, so the invalid one is the
+    # fewest-parameter cell when it comes first
+    bad, good = (dataclasses.replace(BASE, shared_ffn_repeats=n) for n in (70000, 2))
+    assert parameter_count(bad) == parameter_count(good)
+    columns = []
+    for values in ("70000,2", "2,70000"):
+        code, rows, err = run_sweep(tmp_path, capsys, "--axis", f"shared-ffn={values}")
+        assert code == 0
+        assert re.fullmatch(rf"trc: sweep cell {bad.label()} failed: ValueError: "
+                            r"shared_ffn_repeats [^\n]+\n", err)
+        columns.append([(r["config"], r["out_bytes"], r["cr"], r["lcr"]) for r in rows])
+    assert columns[0] == columns[1]
+    assert [(config, lcr) for config, _, _, lcr in columns[0]] == [(good.label(), "")]
+
+
+def test_a_sweep_in_which_no_cell_ran_exits_1_with_one_error_line(tmp_path, capsys):
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "ffn=70000,80000")
     assert (code, rows) == (1, None)
+    bad = dataclasses.replace(BASE, ffn_dim=70000).label()
+    assert re.fullmatch(rf"trc: error: ValueError: no sweep cell ran; the first, {bad}, "
+                        r"failed: ValueError: ffn_dim [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("data, argv", [(b"", []), (b"abc", ["--runs", "0"])])
+def test_an_empty_corpus_or_no_runs_exits_1_before_any_compress(tmp_path, capsys,
+                                                                monkeypatch, data, argv):
+    calls = []
+    monkeypatch.setattr(trc.bench, "compress", lambda *a, **k: calls.append(a))
+    code, rows, err = run_sweep(tmp_path, capsys, "--axis", "hidden=12,16", *argv, data=data)
+    assert (code, rows, calls) == (1, None, [])
     assert re.fullmatch(r"trc: error: ValueError: [^\n]+\n", err)
 
 
