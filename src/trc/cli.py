@@ -1,5 +1,8 @@
 """Command-line front end: compress, decompress, sweep.
 
+`--metrics-out` writes the per-chunk trace CSV, the same in both directions
+apart from wall time, first: if that fails, no output file is written.
+
 `trc sweep` takes one model field per `--axis name=v1,v2` and runs one cell
 per value, with the other fields from their flags. Every cell runs alike: a
 failing cell gets one stderr line and stops no other. lcr is measured
@@ -71,10 +74,10 @@ def _cmd_compress(args) -> int:
         data = fh.read()
     config, job = _job(args)
     res = compress(data, config, **job)
-    with open(args.outfile, "wb") as fh:
-        fh.write(res.container)
     if args.metrics_out:
         _write_metrics(args.metrics_out, res.metrics)
+    with open(args.outfile, "wb") as fh:
+        fh.write(res.container)
     ratio = len(data) / len(res.container) if res.container else 0.0
     print(f"{args.infile}: {len(data)} -> {len(res.container)} bytes "
           f"(ratio {ratio:.3f}, skip {res.skip_fraction:.1%})")
@@ -85,6 +88,8 @@ def _cmd_decompress(args) -> int:
     with open(args.infile, "rb") as fh:
         blob = fh.read()
     res = decompress(blob)
+    if args.metrics_out:
+        _write_metrics(args.metrics_out, res.metrics)
     with open(args.outfile, "wb") as fh:
         fh.write(res.data)
     print(f"{args.infile}: {len(blob)} -> {len(res.data)} bytes")
@@ -132,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model init seed, stored in the container")
     _add_job_flags(p)
     p.add_argument("--metrics-out", dest="metrics_out", default=None,
-                   help="write per-chunk metrics CSV here")
+                   help="write the per-chunk trace CSV here, before the container")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="restore the original file")
     p.add_argument("infile")
     p.add_argument("outfile")
+    p.add_argument("--metrics-out", dest="metrics_out", default=None,
+                   help="write the per-chunk trace CSV here, before the output file")
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("sweep", help="run a structure sweep, one axis at a time")

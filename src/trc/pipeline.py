@@ -109,9 +109,8 @@ class ContainerHeader:
         """Raise ValueError unless decompress can replay this header; compress
         and unpack both call it. Each model field, lanes and cache_capacity
         lie in [1, 65535], the seed fits in 64 bits, lr is finite and positive,
-        and the model and its steps pass check_size. Only a lane longer than
-        one window runs main-loop steps, so at most length // (window + 1)
-        lanes are active in any step."""
+        and the model passes check_size over the lanes that run main-loop
+        steps: those of lane_layout longer than one window."""
         c = self.config
         for name, v in (*asdict(c).items(), ("lanes", self.lanes),
                         ("cache_capacity", self.cache_capacity)):
@@ -121,7 +120,8 @@ class ContainerHeader:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"learning rate {self.lr!r} is not finite and positive")
-        check_size(c, min(self.lanes, self.original_length // (c.window + 1)))
+        _, sizes = lane_layout(self.original_length, self.lanes)
+        check_size(c, int((sizes > c.window).sum()))
 
     @classmethod
     def unpack(cls, blob: bytes) -> tuple["ContainerHeader", bytes]:
@@ -141,6 +141,11 @@ class ContainerHeader:
             raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
         if ctrl > 1:
             raise ContainerError(f"controller flag {ctrl} is neither 0 nor 1")
+        payload = blob[HEADER_SIZE:]
+        # before check(), whose lane layout needs a length that fits int64
+        if length > max_symbols(len(payload)):
+            raise TruncatedPayloadError(
+                f"a {len(payload)}-byte payload cannot carry {length} bytes")
         try:
             # both dataclasses list their fields in wire order
             header = cls(ModelConfig(h, ffn, g, c, n, heads), lanes, lr, bool(ctrl),
@@ -148,26 +153,18 @@ class ContainerHeader:
             header.check()
         except ValueError as exc:
             raise ContainerError(f"bad header: {exc}") from exc
-        payload = blob[HEADER_SIZE:]
-        if length > max_symbols(len(payload)):
-            raise TruncatedPayloadError(
-                f"a {len(payload)}-byte payload cannot carry {length} bytes")
         return header, payload
 
 
-def segment_lanes(length: int, lanes: int) -> list[tuple[int, int]]:
-    """Contiguous balanced partition of [0, length): the first length % lanes
-    lanes are one byte longer. Lanes beyond the input are empty and inactive."""
-    if lanes < 1:
-        raise ValueError(f"need at least one lane, got {lanes}")
+def lane_layout(length: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lanes' (starts, sizes), two int64 arrays: a contiguous balanced
+    partition of [0, length) in which the first length % lanes lanes are one
+    byte longer. Lanes past the input are empty, and sizes never rise, so
+    the lanes longer than any given size are a prefix."""
     base, extra = divmod(length, lanes)
-    out = []
-    off = 0
-    for i in range(lanes):
-        size = base + (1 if i < extra else 0)
-        out.append((off, size))
-        off += size
-    return out
+    sizes = np.full(lanes, base, dtype=np.int64)
+    sizes[:extra] += 1
+    return np.cumsum(sizes) - sizes, sizes
 
 
 @dataclass
@@ -250,69 +247,62 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
 
     `code(i, cum)` codes byte i of the file under the cumulative
     frequencies cum: the encoder reads it from `buf`, the decoder decodes it
-    into `buf`. A step's histories lie before its positions in the same
-    lanes, so they are known to both sides. `shifts()` is the coder's
-    renormalization shift count. The model is built only if some lane
-    outlasts its warm-up. A float overflow or NaN raises FloatingPointError
-    where it happens, which is the same operation in both directions.
+    into `buf`. Warm-up codes each lane's first `window` bytes uniformly, in
+    lane order. Main-loop step s then codes byte offset s of every lane
+    longer than s; lane_layout puts those lanes first, so the active lanes
+    are a prefix that only shrinks. A step's histories lie before its
+    positions in the same lanes, so they are known to both sides.
+    `shifts()` is the coder's renormalization shift count. The model is
+    built only if some lane outlasts its warm-up. A float overflow or NaN
+    raises FloatingPointError where it happens, which is the same operation
+    in both directions.
 
     With the controller on, a step updates the model only if its loss
     exceeds the mean of the last cache_capacity losses: ties skip, and an
     empty cache updates. Every loss then enters the cache."""
     metrics = StreamMetrics()
     window = header.config.window
-    segs = np.array(segment_lanes(header.original_length, header.lanes), dtype=np.int64)
-    warm = np.minimum(segs[:, 1], window)
-    starts = segs[:, 0] + warm
-    main_lens = segs[:, 1] - warm
-
-    for off, n in zip(segs[:, 0].tolist(), warm.tolist()):
-        for i in range(off, off + n):
+    starts, sizes = lane_layout(header.original_length, header.lanes)
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        for i in range(start, start + min(size, window)):
             code(i, UNIFORM)
-    metrics.warmup_bytes = int(warm.sum())
+    metrics.warmup_bytes = int(np.minimum(sizes, window).sum())
     metrics.warmup_bits = shifts()
 
-    max_steps = int(main_lens.max())
-    if max_steps == 0:
+    end = int(sizes.max())
+    if end <= window:
         return metrics
     model = TraceModel(header.config, header.seed)
     cache = deque()
     cache_sum = 0.0
     cols = np.arange(-window, 0, dtype=np.int64)
-    steps = coded = skipped = 0
-    loss_sum = 0.0
-    bits_mark, chunk_start = metrics.warmup_bits, time.perf_counter()
-    for s in range(max_steps):
-        pos = starts[main_lens > s] + s
-        probs = forward_probs(model, buf[pos[:, None] + cols])
-        # widen once per step; quantize then takes each float64 row as it is
-        for p, i in zip(probs.astype(np.float64), pos.tolist()):
-            code(i, quantize(p))
-        e, dlogits = nll_loss(probs, buf[pos])
-        update = True
-        if header.controller_enabled:
-            update = not cache or e > cache_sum / len(cache)
-            cache.append(e)
-            cache_sum += e
-            if len(cache) > header.cache_capacity:
-                cache_sum -= cache.popleft()
-        if update:
-            backward(model, dlogits)
-            model.steps += 1
-            adam_step(model.values, model.grads, model.m, model.v, model.steps, header.lr)
-        steps += 1
-        coded += len(pos)
-        loss_sum += e
-        skipped += not update
-        if steps == CHUNK_STEPS or s == max_steps - 1:
-            now, bits = time.perf_counter(), shifts()
-            metrics.chunks.append(ChunkMetrics(
-                steps=steps, bytes_in=coded, bits_out=bits - bits_mark,
-                mean_loss=loss_sum / steps, skip_count=skipped,
-                wall_s=now - chunk_start))
-            steps = coded = skipped = 0
-            loss_sum = 0.0
-            bits_mark, chunk_start = bits, now
+    for first in range(window, end, CHUNK_STEPS):
+        last = min(first + CHUNK_STEPS, end)
+        bits, updates, loss_sum, t0 = shifts(), model.steps, 0.0, time.perf_counter()
+        for s in range(first, last):
+            pos = starts[sizes > s] + s
+            probs = forward_probs(model, buf[pos[:, None] + cols])
+            # widen once per step; quantize then takes each float64 row as it is
+            for p, i in zip(probs.astype(np.float64), pos.tolist()):
+                code(i, quantize(p))
+            e, dlogits = nll_loss(probs, buf[pos])
+            loss_sum += e
+            update = True
+            if header.controller_enabled:
+                update = not cache or e > cache_sum / len(cache)
+                cache.append(e)
+                cache_sum += e
+                if len(cache) > header.cache_capacity:
+                    cache_sum -= cache.popleft()
+            if update:
+                backward(model, dlogits)
+                model.steps += 1
+                adam_step(model.values, model.grads, model.m, model.v, model.steps, header.lr)
+        metrics.chunks.append(ChunkMetrics(
+            steps=last - first, bytes_in=int((np.clip(sizes, first, last) - first).sum()),
+            bits_out=shifts() - bits, mean_loss=loss_sum / (last - first),
+            skip_count=last - first - (model.steps - updates),
+            wall_s=time.perf_counter() - t0))
     return metrics
 
 

@@ -1,8 +1,8 @@
 """The command line through `main(argv)` and `python -m trc`: a file round
-trip, the metrics CSV, the one-line error report for a bad container, job
-flags that default to the code's own defaults and reach every command, and
-the sweep's cells, its reference and its failing cells, which stop no
-other cell."""
+trip, the metrics CSV of both directions, written before the output file,
+the one-line error report for a bad container, job flags that default to
+the code's own defaults and reach every command, and the sweep's cells, its
+reference and its failing cells, which stop no other cell."""
 
 import csv
 import dataclasses
@@ -52,6 +52,35 @@ def test_metrics_csv_bits_sum_to_the_payload(packed):
     assert len(rows) > 2
     payload_bytes = container.stat().st_size - HEADER_SIZE
     assert sum(int(r["bits_out"]) for r in rows) == 8 * payload_bytes
+
+
+def test_decompress_writes_the_compress_trace_apart_from_wall_time(packed, tmp_path):
+    _, container, metrics = packed
+    back = tmp_path / "back.csv"
+    assert main(["decompress", str(container), str(tmp_path / "out.txt"),
+                 "--metrics-out", str(back)]) == 0
+    traces = []
+    for path in (metrics, back):
+        with open(path, newline="", encoding="utf-8") as fh:
+            traces.append([{k: v for k, v in r.items() if k != "wall_s"}
+                           for r in csv.DictReader(fh)])
+    assert len(traces[0]) > 2
+    assert traces[0] == traces[1]
+
+
+def test_a_trace_that_cannot_be_written_leaves_no_output_file(packed, tmp_path, capsys):
+    _, container, _ = packed
+    bad = str(tmp_path / "nodir" / "m.csv")
+    capsys.readouterr()
+    assert main(["compress", str(tmp_path / "in.txt"), str(tmp_path / "out.trc"),
+                 "--metrics-out", bad, *COMPRESS_FLAGS]) == 1
+    assert main(["decompress", str(container), str(tmp_path / "out.txt"),
+                 "--metrics-out", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"(trc: error: FileNotFoundError: [^\n]+\n){2}", captured.err)
+    assert not (tmp_path / "out.trc").exists()
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("corrupt, kind", [

@@ -35,7 +35,7 @@ from trc.pipeline import (
     _HEADER,
     compress,
     decompress,
-    segment_lanes,
+    lane_layout,
 )
 
 SMALL = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3,
@@ -67,22 +67,23 @@ def without_wall_time(metrics):
 # lane geometry
 
 
+def layout(length, lanes):
+    """lane_layout as a list of (start, size) pairs."""
+    starts, sizes = lane_layout(length, lanes)
+    assert starts.dtype == sizes.dtype == np.int64
+    return list(zip(starts.tolist(), sizes.tolist()))
+
+
 def test_segment_lanes_balanced_example():
-    assert segment_lanes(10, 3) == [(0, 4), (4, 3), (7, 3)]
+    assert layout(10, 3) == [(0, 4), (4, 3), (7, 3)]
 
 
 def test_segment_lanes_single_lane():
-    assert segment_lanes(999, 1) == [(0, 999)]
+    assert layout(999, 1) == [(0, 999)]
 
 
 def test_segment_lanes_more_lanes_than_bytes():
-    segs = segment_lanes(3, 5)
-    assert segs == [(0, 1), (1, 1), (2, 1), (3, 0), (3, 0)]
-
-
-def test_segment_lanes_rejects_zero_lanes():
-    with pytest.raises(ValueError):
-        segment_lanes(10, 0)
+    assert layout(3, 5) == [(0, 1), (1, 1), (2, 1), (3, 0), (3, 0)]
 
 
 def test_segment_lanes_partition_property():
@@ -90,7 +91,7 @@ def test_segment_lanes_partition_property():
     for _ in range(200):
         n = int(rng.integers(0, 5000))
         b = int(rng.integers(1, 70))
-        segs = segment_lanes(n, b)
+        segs = layout(n, b)
         assert len(segs) == b
         cursor = 0
         for off, size in segs:
@@ -100,6 +101,26 @@ def test_segment_lanes_partition_property():
         sizes = [s for _, s in segs]
         assert max(sizes) - min(sizes) <= 1
         assert sorted(sizes, reverse=True) == sizes
+
+
+@pytest.mark.parametrize("length", [26, 27], ids=["sizes-7766", "sizes-7776"])
+def test_lanes_that_straddle_the_window_run_one_step(monkeypatch, length):
+    # SMALL's window is 6: four lanes of 7,7,6,6 or 7,7,7,6 bytes run one
+    # main-loop step, over the lanes longer than the window, in both directions
+    rows = []
+    real_forward_probs = trc.pipeline.forward_probs
+
+    def watched(model, histories):
+        rows.append(len(histories))
+        return real_forward_probs(model, histories)
+
+    monkeypatch.setattr(trc.pipeline, "forward_probs", watched)
+    data = synthetic_text(length, seed=length)
+    res = compress(data, SMALL, seed=3, lanes=4)
+    assert rows == [length - 24]
+    rows.clear()
+    assert decompress(res.container).data == data
+    assert rows == [length - 24]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +203,33 @@ def test_step_size_is_bounded_from_the_header():
         ok = dataclasses.replace(header, config=config, lanes=lanes,
                                  original_length=1 << 20)
         assert ContainerHeader.unpack(ok.pack() + bytes(1 << 18))[0] == ok
+
+
+@pytest.mark.parametrize("active", [1024, 1025])
+def test_step_size_counts_only_the_lanes_that_run_steps(active):
+    # Over 65535 lanes, WIDE_STEP holds 262,143 floats per active lane, so
+    # 1,024 lanes of two bytes (the rest one, within the window) fit
+    # MAX_STEP_FLOATS and 1,025 do not.
+    assert 1024 * 262_143 <= MAX_STEP_FLOATS < 1025 * 262_143
+    header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
+                             controller_enabled=False, cache_capacity=16, seed=0,
+                             original_length=65535 + active, data_checksum=0, checksum=0)
+    container = header.pack() + bytes(100)
+    if active == 1024:
+        assert ContainerHeader.unpack(container)[0] == header
+        with pytest.raises(ChecksumMismatchError):
+            decompress(container)
+    else:
+        with pytest.raises(ContainerError, match="over 1025 lanes"):
+            decompress(container)
+
+
+def test_a_length_past_int64_is_refused_before_the_lane_layout():
+    header = ContainerHeader(config=SMALL, lanes=1, lr=0.5, controller_enabled=False,
+                             cache_capacity=16, seed=0, original_length=(1 << 64) - 1,
+                             data_checksum=0, checksum=0)
+    with pytest.raises(TruncatedPayloadError):
+        decompress(header.pack() + bytes(8))
 
 
 def test_unpack_rejects_truncated_container():
@@ -496,8 +544,7 @@ def test_metrics_chunk_structure(monkeypatch):
     monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 100)
     data = synthetic_text(1000, seed=4)
     res = compress(data, SMALL, seed=1, lanes=2)
-    segs = segment_lanes(1000, 2)
-    main_steps = max(size - SMALL.window for _, size in segs)
+    main_steps = int(lane_layout(1000, 2)[1].max()) - SMALL.window
     chunks = res.metrics.chunks
     assert sum(c.steps for c in chunks) == main_steps
     assert all(c.steps <= 100 for c in chunks)
