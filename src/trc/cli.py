@@ -5,9 +5,10 @@ apart from wall time, first: if that fails, no output file is written.
 
 `trc sweep` takes one model field per `--axis name=v1,v2` and runs one cell
 per value, with the other fields from their flags. Every cell runs alike: a
-failing cell gets one stderr line and stops no other. lcr is measured
-against the cell with the fewest parameters among those that ran, the first
-on a tie. A sweep in which no cell ran exits 1 and writes no CSV.
+failing cell gets one stderr line and stops no other. A cell with an illegal
+shape is such a cell, since only its compress checks the shape. lcr is
+measured against the cell with the fewest parameters among those that ran,
+the first on a tie. A sweep in which no cell ran exits 1 and writes no CSV.
 
 Success exits 0. Any failure prints one line to stderr in the form
 `trc: error: <Kind>: <message>` and exits 1 (argparse keeps its own exit 2

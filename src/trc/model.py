@@ -47,8 +47,9 @@ MAX_STEP_FLOATS = 1 << 28
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape of the estimator. hidden_dim must be divisible by both
-    group_size and num_heads."""
+    """Shape of the estimator, a plain value. ContainerHeader.check decides
+    which shapes are legal, and every job reaches it before a TraceModel is
+    built."""
 
     hidden_dim: int = 256
     ffn_dim: int = 4096
@@ -56,21 +57,6 @@ class ModelConfig:
     context_len: int = 8
     shared_ffn_repeats: int = 2
     num_heads: int = 8
-
-    def __post_init__(self):
-        for name in ("hidden_dim", "ffn_dim", "group_size", "context_len",
-                     "shared_ffn_repeats", "num_heads"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"{name} must be a positive int, got {v!r}")
-        if self.hidden_dim % self.group_size != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by group_size {self.group_size}"
-            )
-        if self.hidden_dim % self.num_heads != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
-            )
 
     @property
     def window(self) -> int:
@@ -106,11 +92,17 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(a * b for a, b in weight_shapes(config).values())
 
 
-def check_size(config: ModelConfig, lanes: int) -> None:
-    """Raise ValueError if the model has more than MAX_PARAMETERS parameters,
-    or if a train step over `lanes` lanes holds more than MAX_STEP_FLOATS
-    floats in its largest arrays: the (N, B, f) FFN arrays us, ths, acts and
-    dus, and the (B, c, h) window x with its keys and values."""
+def check_model(config: ModelConfig, lanes: int) -> None:
+    """Raise ValueError unless hidden_dim is divisible by group_size and by
+    num_heads, the model has at most MAX_PARAMETERS parameters, and a train
+    step over `lanes` lanes holds at most MAX_STEP_FLOATS floats in its
+    largest arrays: the (N, B, f) FFN arrays us, ths, acts and dus, and the
+    (B, c, h) window x with its keys and values. Every field must already
+    be a positive int."""
+    h = config.hidden_dim
+    for name, d in (("group_size", config.group_size), ("num_heads", config.num_heads)):
+        if h % d:
+            raise ValueError(f"hidden_dim {h} not divisible by {name} {d}")
     n = parameter_count(config)
     if n > MAX_PARAMETERS:
         raise ValueError(f"model {config.label()} has {n} parameters, "

@@ -29,9 +29,10 @@ range coder's output (see coder.py). unpack accepts this version only.
 
 A header can ask only for what the decoder is able to hold: a model of at
 most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS
-activation floats, and no more bytes than its payload can carry. compress
-and unpack share one header check, ContainerHeader.check, so compress
-refuses up front any job whose container unpack would refuse.
+activation floats, and no more bytes than its payload can carry.
+ContainerHeader.check is the only validator of a job, types included (a
+ModelConfig checks nothing itself). compress and unpack both call it, so
+compress refuses up front any job whose container unpack would refuse.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ import struct
 import time
 import zlib
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .coder import Decoder, Encoder, ExhaustedStreamError, UNIFORM, max_symbols, quantize
-from .model import ModelConfig, TraceModel, backward, check_size, forward_probs, nll_loss
+from .model import ModelConfig, TraceModel, backward, check_model, forward_probs, nll_loss
 from .nn import adam_step
 
 MAGIC = b"TRCE"
@@ -87,6 +88,9 @@ class ModelOverflowError(ContainerError):
 
 @dataclass(frozen=True)
 class ContainerHeader:
+    """The header after magic and version. Its fields, with the config's
+    fields in place of config, are the wire fields in wire order."""
+
     config: ModelConfig
     lanes: int
     lr: float
@@ -98,30 +102,30 @@ class ContainerHeader:
     checksum: int
 
     def pack(self) -> bytes:
-        c = self.config
-        return _HEADER.pack(
-            MAGIC, VERSION, c.hidden_dim, c.ffn_dim, c.group_size,
-            c.context_len, c.shared_ffn_repeats, c.num_heads, self.lanes,
-            self.lr, int(self.controller_enabled), self.cache_capacity,
-            self.seed, self.original_length, self.data_checksum, self.checksum)
+        return _HEADER.pack(MAGIC, VERSION, *astuple(self.config), *astuple(self)[1:])
 
     def check(self) -> None:
-        """Raise ValueError unless decompress can replay this header; compress
-        and unpack both call it. Each model field, lanes and cache_capacity
-        lie in [1, 65535], the seed fits in 64 bits, lr is finite and positive,
-        and the model passes check_size over the lanes that run main-loop
-        steps: those of lane_layout longer than one window."""
+        """Raise ValueError unless decompress can replay this header. compress
+        and unpack both call it, and no other code decides which jobs are
+        legal. Each model field, lanes and cache_capacity is an int (a bool
+        is not) in [1, 65535], the controller flag is 0 or 1, the seed is an
+        int in [0, 2^64), lr is finite and positive, and the model passes
+        check_model over the lanes that run main-loop steps: those of
+        lane_layout longer than one window."""
         c = self.config
         for name, v in (*asdict(c).items(), ("lanes", self.lanes),
                         ("cache_capacity", self.cache_capacity)):
-            if not 1 <= v <= 0xFFFF:
-                raise ValueError(f"{name} must be in [1, 65535], got {v}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            if not _is_int_in(v, 1, 1 << 16):
+                raise ValueError(f"{name} must be an int in [1, 65535], got {v!r}")
+        ctrl = self.controller_enabled
+        if not isinstance(ctrl, int) or ctrl not in (0, 1):
+            raise ValueError(f"controller flag {ctrl!r} is neither 0 nor 1")
+        if not _is_int_in(self.seed, 0, 1 << 64):
+            raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"learning rate {self.lr!r} is not finite and positive")
         _, sizes = lane_layout(self.original_length, self.lanes)
-        check_size(c, int((sizes > c.window).sum()))
+        check_model(c, int((sizes > c.window).sum()))
 
     @classmethod
     def unpack(cls, blob: bytes) -> tuple["ContainerHeader", bytes]:
@@ -135,25 +139,26 @@ class ContainerHeader:
         if len(blob) < HEADER_SIZE:
             raise TruncatedPayloadError(
                 f"container is {len(blob)} bytes, header alone needs {HEADER_SIZE}")
-        (_, version, h, ffn, g, c, n, heads, lanes, lr, ctrl, cache,
-         seed, length, data_crc, crc) = _HEADER.unpack_from(blob)
+        _, version, *wire = _HEADER.unpack_from(blob)
         if version != VERSION:
             raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
-        if ctrl > 1:
-            raise ContainerError(f"controller flag {ctrl} is neither 0 nor 1")
+        k = len(fields(ModelConfig))
+        header = cls(ModelConfig(*wire[:k]), *wire[k:])
         payload = blob[HEADER_SIZE:]
         # before check(), whose lane layout needs a length that fits int64
-        if length > max_symbols(len(payload)):
+        if header.original_length > max_symbols(len(payload)):
             raise TruncatedPayloadError(
-                f"a {len(payload)}-byte payload cannot carry {length} bytes")
+                f"a {len(payload)}-byte payload cannot carry {header.original_length} bytes")
         try:
-            # both dataclasses list their fields in wire order
-            header = cls(ModelConfig(h, ffn, g, c, n, heads), lanes, lr, bool(ctrl),
-                         cache, seed, length, data_crc, crc)
             header.check()
         except ValueError as exc:
             raise ContainerError(f"bad header: {exc}") from exc
         return header, payload
+
+
+def _is_int_in(v, lo: int, hi: int) -> bool:
+    """v is an int in [lo, hi); a bool does not count."""
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v < hi
 
 
 def lane_layout(length: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:

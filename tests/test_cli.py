@@ -2,7 +2,8 @@
 trip, the metrics CSV of both directions, written before the output file,
 the one-line error report for a bad container, job flags that default to
 the code's own defaults and reach every command, and the sweep's cells, its
-reference and its failing cells, which stop no other cell."""
+reference and its failing cells, an illegal shape among them, which stop no
+other cell."""
 
 import csv
 import dataclasses
@@ -155,6 +156,17 @@ def test_sweep_reports_a_failing_cell_and_writes_the_others(tmp_path, capsys):
     assert [r["config"] for r in rows] == [BASE.label()]
     bad = dataclasses.replace(BASE, ffn_dim=70000).label()
     assert re.fullmatch(rf"trc: sweep cell {bad} failed: ValueError: [^\n]+\n", err)
+
+
+def test_a_cell_with_an_illegal_shape_fails_like_any_other(tmp_path, capsys):
+    # the later --groups and --context win over COMPRESS_FLAGS'; heads=3
+    # does not divide hidden 16, a shape only the header check refuses
+    code, rows, err = run_sweep(tmp_path, capsys, "--groups", "4", "--context", "8",
+                                "--axis", "heads=2,3")
+    assert code == 0
+    assert [r["config"] for r in rows] == ["h16-f24-g4-c8-N2-H2"]
+    assert err == ("trc: sweep cell h16-f24-g4-c8-N2-H3 failed: ValueError: "
+                   "hidden_dim 16 not divisible by num_heads 3\n")
 
 
 def test_two_axis_flags_give_the_cells_of_the_old_multi_field_spec(tmp_path, capsys):

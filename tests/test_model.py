@@ -15,6 +15,7 @@ import pytest
 from conftest import assert_grads_close, float64_model, numeric_grad
 from oracles import (attention, embed_groups, ffn, full_sequence_probs, predict,
                      transformer_layer)
+from trc.coder import Encoder
 from trc.model import (
     ModelConfig,
     TraceModel,
@@ -26,6 +27,7 @@ from trc.model import (
     weight_shapes,
 )
 from trc.nn import SLICE, adam_step, fill_uniform
+from trc.pipeline import compress
 
 TINY = ModelConfig(hidden_dim=16, ffn_dim=32, group_size=2, context_len=4,
                    shared_ffn_repeats=2, num_heads=2)
@@ -43,15 +45,18 @@ def test_config_defaults_and_window():
     assert TINY.window == 8
 
 
-def test_config_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        ModelConfig(hidden_dim=0)
-    with pytest.raises(ValueError):
-        ModelConfig(ffn_dim=-4)
-    with pytest.raises(ValueError):
-        ModelConfig(hidden_dim=10, group_size=4)
-    with pytest.raises(ValueError):
-        ModelConfig(hidden_dim=12, num_heads=8, group_size=2)
+def test_config_rejects_bad_shapes(monkeypatch):
+    # A ModelConfig is a plain value: each bad shape constructs, and compress
+    # refuses it through ContainerHeader.check before it codes a symbol.
+    def no_symbol(*args):
+        raise AssertionError("a symbol was coded")
+
+    monkeypatch.setattr(Encoder, "encode_symbol", no_symbol)
+    for shape in ({"hidden_dim": 0}, {"ffn_dim": -4}, {"hidden_dim": 10, "group_size": 4},
+                  {"hidden_dim": 12, "num_heads": 8, "group_size": 2}):
+        cfg = ModelConfig(**shape)
+        with pytest.raises(ValueError):
+            compress(b"some bytes", cfg, seed=1, lanes=1)
 
 
 def test_config_is_frozen():

@@ -713,13 +713,16 @@ _U16 = ("hidden_dim", "ffn_dim", "group_size", "context_len", "shared_ffn_repeat
 @pytest.mark.parametrize("data", [b"", b"ab", b"abcdefgh"], ids=["empty", "warmup", "main"])
 @pytest.mark.parametrize("setting", [
     *({"lr": v} for v in (float(np.finfo(np.float32).max), 1e39, float("inf"), 1e-60)),
-    *({name: v} for name in _U16 for v in (0xFFFF, 0x10000)),
-    {"seed": (1 << 64) - 1}, {"seed": 1 << 64},
+    *({name: v} for name in _U16 for v in (0xFFFF, 0x10000, 2.5)),
+    {"lanes": True}, {"seed": (1 << 64) - 1}, {"seed": 1 << 64}, {"seed": 1.5},
+    {"controller": 2},
 ], ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()))
 def test_compress_writes_only_what_unpack_accepts(monkeypatch, data, setting):
     # A job either fails ValueError before a symbol is coded, or stops with
     # FloatingPointError and writes nothing (a huge lr or a deep shared FFN
-    # overflows float32), or gives a container that decodes to `data`.
+    # overflows float32), or gives a container that decodes to `data`. A
+    # float, a bool or a controller flag of 2 must end one of these ways too,
+    # not in struct.error, TypeError or a container decompress refuses.
     record = CodingRecord().watch(monkeypatch)
     job = {"seed": 1, "lanes": 1, **setting}
     fields = {k: job.pop(k) for k in setting if hasattr(EDGE, k)}
