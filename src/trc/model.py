@@ -6,12 +6,14 @@ transformer layer whose FFN is applied N times with a single shared weight
 pair, and the last position's representation drives a 256-way softmax.
 There is no layer normalization and no causal mask.
 
-The trainable state is four flat arrays, the values, their gradients and
-Adam's two moments, laid out by `weight_shapes`; each weight is a pair of
-views into the first two. The graph is fixed, so its backward is written out
+The trainable state is three flat arrays, the values and Adam's two
+moments, laid out by `weight_shapes`; each weight is three views at the same
+offsets, one into each. The graph is fixed, so its backward is written out
 by hand: `forward_probs` keeps the activations `backward` needs on the model,
-`nll_loss` gives the logit gradient, and `backward` writes every weight's
-gradient into its view. Everything runs in the arrays' dtype: float32 in
+`nll_loss` gives the logit gradient, and `backward` hands each weight's
+gradient, in a fresh array, to a callback as soon as it no longer reads that
+weight's value. The train step applies Adam there, so it holds one weight's
+gradient at a time. Everything runs in the arrays' dtype: float32 in
 production, float64 for gradient checking.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +38,8 @@ from .nn import (
 
 VOCAB = 256
 # Largest model a container may ask for: 64M scalars, 256 MB per float32
-# array and about 1 GB with the gradient and both Adam moments. The paper
-# default has 2,443,264.
+# array, so at most 1 GB for the 3 arrays plus the largest weight's gradient.
+# The paper default has 2,443,264.
 MAX_PARAMETERS = 1 << 26
 # Most floats a train step may hold in activations and their gradients: 1 GB
 # in float32, as for the parameters. The paper default at 64 lanes holds
@@ -133,24 +135,25 @@ class _Saved(NamedTuple):
 
 
 class Weight(NamedTuple):
-    """One weight matrix and its gradient: views into a TraceModel's flat
-    values and grads."""
+    """One weight matrix and its Adam moments: views at the same offsets
+    into a TraceModel's flat values, m and v."""
 
     value: np.ndarray
-    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
 
 class TraceModel:
     """All trainable state, the config that shaped it, and the activations
     of the last forward pass.
 
-    values, grads, m and v are flat arrays of parameter_count(config)
+    values, m and v are flat arrays of parameter_count(config)
     entries; steps counts the Adam steps taken. Weights are Glorot-uniform:
     the weight at flat offset lo takes draws lo, lo+1, ... of one SplitMix64
     stream, so (config, seed) fully determines the model.
     """
 
-    __slots__ = ("config", "values", "grads", "m", "v", "steps", "saved",
+    __slots__ = ("config", "values", "m", "v", "steps", "saved",
                  *weight_shapes(ModelConfig()))
 
     def __init__(self, config: ModelConfig, seed: int):
@@ -159,8 +162,8 @@ class TraceModel:
         self.steps = 0
         n = parameter_count(config)
         self.values = np.empty(n, dtype=np.float32)
-        # np.zeros takes pages the OS zeroes on first touch, in backward and Adam
-        self.grads, self.m, self.v = (np.zeros(n, dtype=np.float32) for _ in range(3))
+        # np.zeros takes pages the OS zeroes on first touch, in Adam
+        self.m, self.v = (np.zeros(n, dtype=np.float32) for _ in range(2))
         lo = 0
         for fan_in, fan_out in weight_shapes(config).values():
             hi = lo + fan_in * fan_out
@@ -173,12 +176,12 @@ class TraceModel:
         self.bind()
 
     def bind(self) -> None:
-        """Point every weight at its slice of values and grads."""
+        """Point every weight at its slice of values, m and v."""
         lo = 0
         for name, shape in weight_shapes(self.config).items():
             hi = lo + shape[0] * shape[1]
-            setattr(self, name, Weight(self.values[lo:hi].reshape(shape),
-                                       self.grads[lo:hi].reshape(shape)))
+            setattr(self, name, Weight(*(a[lo:hi].reshape(shape)
+                                         for a in (self.values, self.m, self.v))))
             lo = hi
 
 
@@ -220,7 +223,7 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     for i in range(n):
         ys[i] = y
         matmul(y, model.w1.value, out=us[i])
-        acts[i] = gelu(us[i], ths[i])
+        gelu(us[i], ths[i], acts[i])
         y = y + matmul(acts[i], model.w2.value)
     probs = softmax_rows(matmul(y, model.output_head.value))
     model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, acts, y, probs)
@@ -239,10 +242,16 @@ def nll_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     return loss, grad
 
 
-def backward(model: TraceModel, dlogits: np.ndarray) -> None:
-    """Write d(loss)/d(parameter) into every parameter's grad buffer, given
-    the logit gradient of the last forward_probs call. Buffers are
-    overwritten, not accumulated into."""
+def backward(model: TraceModel, dlogits: np.ndarray,
+             apply: Callable[[Weight, np.ndarray], None]) -> None:
+    """Compute d(loss)/d(parameter) for every weight, given the logit
+    gradient of the last forward_probs call, and hand each to
+    `apply(weight, grad)` in a fresh array of the weight's shape.
+
+    Each weight is handed over once, right after backward's last read of
+    its value, so `apply` may update the value in place. The order is
+    output_head, w2, w1, wo, wq, wk, wv, positional_embedding and
+    byte_embedding."""
     s = model.saved
     if s is None or dlogits.shape != s.probs.shape:
         raise ValueError(f"logit gradient of shape {dlogits.shape} does not match "
@@ -253,8 +262,8 @@ def backward(model: TraceModel, dlogits: np.ndarray) -> None:
     hk = h // heads
 
     # head
-    np.matmul(s.y.T, dlogits, out=model.output_head.grad)
     dy = dlogits @ model.output_head.value.T
+    apply(model.output_head, s.y.T @ dlogits)
 
     # shared FFN, last application first: y_{i+1} = y_i + gelu(y_i W1) W2
     dys = np.empty_like(s.ys)
@@ -264,12 +273,12 @@ def backward(model: TraceModel, dlogits: np.ndarray) -> None:
         np.matmul(dy, model.w2.value.T, out=dus[i])
         gelu_backward(s.us[i], s.ths[i], dus[i])
         dy = dy + dus[i] @ model.w1.value.T
-    np.matmul(s.acts.reshape(-1, ffn).T, dys.reshape(-1, h), out=model.w2.grad)
-    np.matmul(s.ys.reshape(-1, h).T, dus.reshape(-1, ffn), out=model.w1.grad)
+    apply(model.w2, s.acts.reshape(-1, ffn).T @ dys.reshape(-1, h))
+    apply(model.w1, s.ys.reshape(-1, h).T @ dus.reshape(-1, ffn))
 
     # attention of the last position: y = merged W_O + x_last
-    np.matmul(s.merged.T, dy, out=model.wo.grad)
     dmixed = (dy @ model.wo.value.T).reshape(b, heads, 1, hk)
+    apply(model.wo, s.merged.T @ dy)
     datt = dmixed @ s.vt.transpose(0, 1, 3, 2)                  # (B, H, 1, c)
     dvt = s.att.transpose(0, 1, 3, 2) * dmixed                  # (B, H, c, hk)
     dscores = datt - (datt * s.att).sum(axis=-1, keepdims=True)
@@ -277,19 +286,20 @@ def backward(model: TraceModel, dlogits: np.ndarray) -> None:
     dscores *= 1.0 / math.sqrt(hk)
     dq = (dscores @ s.kt.transpose(0, 1, 3, 2)).reshape(b, h)
     dkt = s.q.transpose(0, 1, 3, 2) * dscores                   # (B, H, hk, c)
-    x_last = s.x[:, -1]
-    np.matmul(x_last.T, dq, out=model.wq.grad)
     dx_last = dy + dq @ model.wq.value.T
+    apply(model.wq, s.x[:, -1].T @ dq)
 
     # K and V over every position, then the embeddings
     x2 = s.x.reshape(b * c, h)
     dk = dkt.transpose(0, 3, 1, 2).reshape(b * c, h)
     dv = dvt.transpose(0, 2, 1, 3).reshape(b * c, h)
-    np.matmul(x2.T, dk, out=model.wk.grad)
-    np.matmul(x2.T, dv, out=model.wv.grad)
     dx = dk @ model.wk.value.T
     dx += dv @ model.wv.value.T
+    apply(model.wk, x2.T @ dk)
+    apply(model.wv, x2.T @ dv)
     dx = dx.reshape(b, c, h)
     dx[:, -1] += dx_last
-    np.sum(dx, axis=0, out=model.positional_embedding.grad)
-    scatter_rows(model.byte_embedding.grad, s.histories, dx)
+    apply(model.positional_embedding, dx.sum(axis=0))
+    demb = np.empty_like(model.byte_embedding.value)
+    scatter_rows(demb, s.histories, dx)
+    apply(model.byte_embedding, demb)

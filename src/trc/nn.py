@@ -1,4 +1,4 @@
-"""Array kernels for the model's one fixed graph, Adam over flat arrays, and
+"""Array kernels for the model's one fixed graph, Adam, and
 a counter-indexed SplitMix64 for the initial weights.
 
 There is no tape: `model.forward_probs` calls the forward ops below and
@@ -43,22 +43,21 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))),
-    in a new array.
+def gelu(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Tanh-approximation GELU: out = 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
-    The tanh is written into t (x's shape and dtype), which the caller keeps
-    for gelu_backward, so the backward pass does not recompute it."""
+    t and out have x's shape and dtype. The tanh is written into t, which
+    the caller keeps for gelu_backward, so the backward pass does not
+    recompute it."""
     np.multiply(x, x, out=t)
     t *= _GELU_A
     t += 1.0
     t *= x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
-    y *= x
-    y *= 0.5
-    return y
+    np.add(t, 1.0, out=out)
+    out *= x
+    out *= 0.5
 
 
 def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> None:
@@ -125,8 +124,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float) -> None:
-    """Bias-corrected Adam step number t (counted from 1) on flat arrays of
-    one dtype, in place; leaves grad as it is.
+    """Bias-corrected Adam step number t (counted from 1) on C-contiguous
+    arrays of one shape and dtype, such as a weight's views, in place; leaves
+    grad as it is.
 
     The moments are stored unscaled, m~ = m / (1-b1) and v~ = v / (1-b2):
 
@@ -149,6 +149,7 @@ def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     r = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
     k = lr * (1.0 - BETA1) / (1.0 - BETA1 ** t) * r
     eps_t = EPS * r
+    value, grad, m, v = (a.reshape(-1) for a in (value, grad, m, v))
     scratch = np.empty(min(value.size, SLICE), dtype=value.dtype)
     for lo, hi in _slices(value.size):
         g, mi, vi, s = grad[lo:hi], m[lo:hi], v[lo:hi], scratch[:hi - lo]

@@ -264,7 +264,10 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
 
     With the controller on, a step updates the model only if its loss
     exceeds the mean of the last cache_capacity losses: ties skip, and an
-    empty cache updates. Every loss then enters the cache."""
+    empty cache updates. Every loss then enters the cache. An update counts
+    the step first, then runs backward, whose callback takes one Adam step
+    on each weight as soon as its gradient is final, so the step holds one
+    weight's gradient at a time."""
     metrics = StreamMetrics()
     window = header.config.window
     starts, sizes = lane_layout(header.original_length, header.lanes)
@@ -278,6 +281,10 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     if end <= window:
         return metrics
     model = TraceModel(header.config, header.seed)
+
+    def update_weight(w, grad):
+        adam_step(w.value, grad, w.m, w.v, model.steps, header.lr)
+
     cache = deque()
     cache_sum = 0.0
     cols = np.arange(-window, 0, dtype=np.int64)
@@ -300,9 +307,8 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
                 if len(cache) > header.cache_capacity:
                     cache_sum -= cache.popleft()
             if update:
-                backward(model, dlogits)
                 model.steps += 1
-                adam_step(model.values, model.grads, model.m, model.v, model.steps, header.lr)
+                backward(model, dlogits, update_weight)
         metrics.chunks.append(ChunkMetrics(
             steps=last - first, bytes_in=int((np.clip(sizes, first, last) - first).sum()),
             bits_out=shifts() - bits, mean_loss=loss_sum / (last - first),

@@ -32,13 +32,13 @@ def numeric_grad(loss_fn, arrays, step=1e-3):
 
 
 def float64_model(config, seed):
-    """TraceModel(config, seed) with its four flat arrays widened to float64
+    """TraceModel(config, seed) with its three flat arrays widened to float64
     and its weights re-bound to them, so the whole forward and backward run
     in float64."""
     from trc.model import TraceModel
 
     model = TraceModel(config, seed)
-    for name in ("values", "grads", "m", "v"):
+    for name in ("values", "m", "v"):
         setattr(model, name, getattr(model, name).astype(np.float64))
     model.bind()
     return model

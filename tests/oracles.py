@@ -6,7 +6,8 @@ the way fill_uniform does. `TextbookAdam` is the update `nn.adam_step`
 rearranges. The full-sequence transformer layer evaluates every position the
 way the model is defined, in plain float64 numpy with its own GELU and
 softmax; `model.forward_probs` computes only what reaches the last
-position's prediction and must agree with it there.
+position's prediction and must agree with it there. `grads_of` is the one
+way tests read the gradients `model.backward` hands over.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from trc.model import TraceModel, forward_probs
+from trc.model import TraceModel, backward, forward_probs, weight_shapes
 
 
 def splitmix64(seed: int):
@@ -64,6 +65,20 @@ class TextbookAdam:
         mhat = self.m / (1.0 - b1 ** self.t)
         vhat = self.v / (1.0 - b2 ** self.t)
         self.value = self.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def grads_of(model: TraceModel, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Every weight's gradient from one backward call, by weight name in the
+    order backward hands them over. The recording callback leaves the
+    weights as they are."""
+    names = {id(getattr(model, name)): name for name in weight_shapes(model.config)}
+    grads = {}
+
+    def record(weight, grad):
+        grads[names[id(weight)]] = grad
+
+    backward(model, dlogits, record)
+    return grads
 
 
 def _check_history(history, window: int) -> np.ndarray:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, float64_model, numeric_grad
-from oracles import (attention, embed_groups, ffn, full_sequence_probs, predict,
-                     transformer_layer)
+from oracles import (attention, embed_groups, ffn, full_sequence_probs, grads_of,
+                     predict, transformer_layer)
 from trc.coder import Encoder
 from trc.model import (
     ModelConfig,
@@ -127,8 +127,8 @@ def test_different_seeds_differ():
 
 def test_init_drawn_in_slices_equals_one_draw_per_weight():
     # w1 and w2 are two SLICE runs long, so init draws them in pieces; each
-    # weight must still be one run of draws from its flat offset, and the
-    # gradient and both moments must start at zero
+    # weight must still be one run of draws from its flat offset, and both
+    # moments must start at zero
     config = ModelConfig(hidden_dim=64, ffn_dim=2048, num_heads=4)
     model = TraceModel(config, seed=11)
     lo = 0
@@ -139,7 +139,7 @@ def test_init_drawn_in_slices_equals_one_draw_per_weight():
         assert np.array_equal(getattr(model, name).value.reshape(-1), want), name
         lo += n
     assert max(a * b for a, b in weight_shapes(config).values()) > SLICE
-    for state in (model.grads, model.m, model.v):
+    for state in (model.m, model.v):
         assert state.dtype == np.float32 and state.shape == model.values.shape
         assert not state.any()
 
@@ -382,11 +382,14 @@ def test_predict_memorizes_repeating_stream():
     a, b = ord("a"), ord("b")
     windows = np.array([[a, b] * 4, [b, a] * 4], dtype=np.int64)
     targets = np.array([a, b], dtype=np.int64)
+
+    def step(w, grad):
+        adam_step(w.value, grad, w.m, w.v, model.steps, lr=0.01)
+
     for _ in range(500):
         _, dlogits = nll_loss(forward_probs(model, windows), targets)
-        backward(model, dlogits)
         model.steps += 1
-        adam_step(model.values, model.grads, model.m, model.v, model.steps, lr=0.01)
+        backward(model, dlogits, step)
     p0 = predict(bytes([a, b] * 4), model)
     p1 = predict(bytes([b, a] * 4), model)
     assert p0[a] > 0.9
@@ -417,13 +420,12 @@ def run_model_gradcheck(cfg, seed):
         return nll_loss(forward_probs(model, histories), targets)[0]
 
     _, dlogits = nll_loss(forward_probs(model, histories), targets)
-    backward(model, dlogits)
+    grads = grads_of(model, dlogits)
 
     used_rows = np.unique(histories)
-    for p, name in zip(_weights(model), ("emb", "pos", "wq", "wk", "wv",
-                                         "wo", "w1", "w2", "head")):
-        analytic = p.grad.copy()
-        if name == "emb":
+    for name, analytic in grads.items():
+        p = getattr(model, name)
+        if name == "byte_embedding":
             # untouched vocabulary rows: gradient must be exactly zero
             mask = np.ones(256, dtype=bool)
             mask[used_rows] = False
@@ -463,10 +465,35 @@ def test_float32_step_gradients_track_float64():
     histories = rng.integers(0, 256, (16, cfg.window), dtype=np.int64)
     targets = rng.integers(0, 256, 16, dtype=np.int64)
     tol = 32 * np.finfo(np.float32).eps
-    for model in (m32, m64):
-        _, dlogits = nll_loss(forward_probs(model, histories), targets)
-        backward(model, dlogits)
+    g32, g64 = (grads_of(model, nll_loss(forward_probs(model, histories), targets)[1])
+                for model in (m32, m64))
     np.testing.assert_allclose(m32.saved.probs, m64.saved.probs, rtol=tol, atol=0)
-    for p32, p64 in zip(_weights(m32), _weights(m64)):
-        assert p32.grad.dtype == np.float32
-        assert np.abs(p32.grad - p64.grad).max() <= tol * np.abs(p64.grad).max()
+    for name, grad in g32.items():
+        assert grad.dtype == np.float32
+        assert np.abs(grad - g64[name]).max() <= tol * np.abs(g64[name]).max()
+
+
+def test_backward_hands_each_weight_over_once_after_its_last_read():
+    # The callback poisons each weight as it is handed over, as an in-place
+    # update may: any later read of that value by backward would spoil a
+    # gradient handed over after it.
+    model = float64_model(TINY, seed=34)
+    rng = np.random.default_rng(34)
+    histories = rng.integers(0, 256, (3, TINY.window), dtype=np.int64)
+    targets = rng.integers(0, 256, 3, dtype=np.int64)
+    _, dlogits = nll_loss(forward_probs(model, histories), targets)
+    clean = grads_of(model, dlogits)
+    names = {id(getattr(model, name)): name for name in weight_shapes(TINY)}
+    handed = []
+
+    def poison(weight, grad):
+        handed.append((names[id(weight)], grad.copy()))
+        weight.value.fill(np.nan)
+
+    backward(model, dlogits, poison)
+    assert [name for name, _ in handed] == [
+        "output_head", "w2", "w1", "wo", "wq", "wk", "wv",
+        "positional_embedding", "byte_embedding"]
+    for name, grad in handed:
+        assert np.isfinite(grad).all(), name
+        assert np.array_equal(grad, clean[name]), name

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, float64_model, numeric_grad
-from oracles import TextbookAdam, rng_uniform, splitmix64
-from trc.model import (ModelConfig, TraceModel, backward, forward_probs, nll_loss,
-                       parameter_count, weight_shapes)
+from oracles import TextbookAdam, grads_of, rng_uniform, splitmix64
+from trc.model import (ModelConfig, TraceModel, forward_probs, nll_loss, parameter_count,
+                       weight_shapes)
 from trc.nn import (
     SLICE,
     adam_step,
@@ -95,10 +95,18 @@ def test_matmul_shape_mismatch_raises():
         matmul(a, b)
 
 
+def _gelu(x):
+    """gelu(x) in a new array, its tanh discarded."""
+    out = np.empty_like(x)
+    gelu(x, np.empty_like(x), out)
+    return out
+
+
 def test_gelu_closed_form_points():
     x = np.array([0.0, 1.0, -1.0, 10.0, -10.0, 0.5], dtype=np.float64)
     t = np.empty_like(x)
-    got = gelu(x, t)
+    got = np.empty_like(x)
+    gelu(x, t, got)
     want = np.array([gelu_oracle(v) for v in x])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assert got[0] == 0.0
@@ -107,8 +115,7 @@ def test_gelu_closed_form_points():
     assert abs(got[4]) < 1e-7
     c = math.sqrt(2.0 / math.pi)
     np.testing.assert_allclose(t, np.tanh(c * (x + 0.044715 * x ** 3)), rtol=1e-15, atol=0)
-    t32 = np.empty(x.shape, dtype=np.float32)
-    got32 = gelu(x.astype(np.float32), t32)
+    got32 = _gelu(x.astype(np.float32))
     assert got32.dtype == np.float32
     np.testing.assert_allclose(got32, want, rtol=1e-6, atol=1e-7)
 
@@ -118,14 +125,14 @@ def test_gelu_backward_with_kept_tanh_matches_central_differences():
     x = np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.0, -1e-3, 1e-3, 8.0, -8.0]])
     g = rng.standard_normal(x.shape)
     t = np.empty_like(x)
-    gelu(x, t)
+    gelu(x, t, np.empty_like(x))
     got = g.copy()
     gelu_backward(x, t, got)
     h = 1e-5
-    fd = (gelu(x + h, np.empty_like(x)) - gelu(x - h, np.empty_like(x))) / (2.0 * h)
+    fd = (_gelu(x + h) - _gelu(x - h)) / (2.0 * h)
     np.testing.assert_allclose(got, g * fd, rtol=1e-7, atol=1e-9)
     t32 = np.empty(x.shape, dtype=np.float32)
-    gelu(x.astype(np.float32), t32)
+    gelu(x.astype(np.float32), t32, np.empty_like(t32))
     got32 = g.astype(np.float32)
     gelu_backward(x.astype(np.float32), t32, got32)
     assert got32.dtype == np.float32
@@ -199,8 +206,8 @@ def test_scatter_rows_equals_add_at_on_repeated_bytes():
 
 
 def _fd_check(cfg, names, histories, targets, seed=0):
-    """Gradients backward writes for the named parameters vs central
-    differences of the loss."""
+    """Gradients backward hands over for the named parameters vs central
+    differences of the loss; returns every gradient by name."""
     model = float64_model(cfg, seed)
     histories = np.asarray(histories, dtype=np.int64)
 
@@ -208,12 +215,11 @@ def _fd_check(cfg, names, histories, targets, seed=0):
         return nll_loss(forward_probs(model, histories), targets)[0]
 
     _, dlogits = nll_loss(forward_probs(model, histories), targets)
-    backward(model, dlogits)
+    grads = grads_of(model, dlogits)
     for name in names:
-        p = getattr(model, name)
-        numeric = numeric_grad(loss_value, [p.value])[0]
-        assert_grads_close(p.grad, numeric)
-    return model
+        numeric = numeric_grad(loss_value, [getattr(model, name).value])[0]
+        assert_grads_close(grads[name], numeric)
+    return grads
 
 
 def _batch(cfg, b, seed):
@@ -260,11 +266,11 @@ def test_backward_shape_ops():
 
 def test_backward_gather_accumulates_repeats():
     histories = np.array([[1, 7, 1, 1, 7, 1], [7, 7, 7, 1, 1, 1]])
-    model = _fd_check(SMALL, ("byte_embedding",), histories, np.array([1, 7]))
+    grad = _fd_check(SMALL, ("byte_embedding",), histories, np.array([1, 7]))["byte_embedding"]
     used = np.zeros(256, dtype=bool)
     used[[1, 7]] = True
-    assert np.all(model.byte_embedding.grad[~used] == 0.0)
-    assert np.all(model.byte_embedding.grad[used] != 0.0)
+    assert np.all(grad[~used] == 0.0)
+    assert np.all(grad[used] != 0.0)
 
 
 def test_diamond_reuse_sums_both_paths():
@@ -275,39 +281,46 @@ def test_diamond_reuse_sums_both_paths():
 
 def test_backward_mean_gives_equal_shares():
     histories, targets = _batch(SMALL, 1, 27)
-    one = float64_model(SMALL, 0)
-    three = float64_model(SMALL, 0)
-    for model, reps in ((one, 1), (three, 3)):
+
+    def grads(reps):
+        model = float64_model(SMALL, 0)
         _, dlogits = nll_loss(forward_probs(model, np.repeat(histories, reps, axis=0)),
                               np.repeat(targets, reps))
-        backward(model, dlogits)
-    np.testing.assert_allclose(three.grads, one.grads, rtol=1e-12, atol=1e-15)
+        return grads_of(model, dlogits)
+
+    one, three = grads(1), grads(3)
+    for name, grad in one.items():
+        np.testing.assert_allclose(three[name], grad, rtol=1e-12, atol=1e-15)
 
 
 def test_backward_zero_scale_gives_zeros():
     model = float64_model(SMALL, 0)
     _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 28)[0]), [3, 4])
-    backward(model, dlogits)
-    backward(model, 0.0 * dlogits)
-    assert np.array_equal(model.grads, np.zeros_like(model.grads))
+    grads_of(model, dlogits)
+    zeros = grads_of(model, 0.0 * dlogits)
+    assert len(zeros) == len(weight_shapes(SMALL))
+    for name, grad in zeros.items():
+        assert grad.shape == getattr(model, name).value.shape
+        assert not grad.any(), name
 
 
 def test_backward_overwrites_across_calls():
     model = float64_model(SMALL, 0)
     _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 29)[0]), [3, 4])
-    backward(model, dlogits)
-    once = model.grads.copy()
-    backward(model, dlogits)
-    assert np.array_equal(model.grads, once)
+    once = grads_of(model, dlogits)
+    twice = grads_of(model, dlogits)
+    assert list(twice) == list(once)
+    for name, grad in once.items():
+        assert np.array_equal(twice[name], grad), name
 
 
 def test_backward_rejects_mismatched_logit_grad():
     model = float64_model(SMALL, 0)
     with pytest.raises(ValueError):
-        backward(model, np.zeros((2, 256)))  # no forward pass yet
+        grads_of(model, np.zeros((2, 256)))  # no forward pass yet
     forward_probs(model, _batch(SMALL, 2, 30)[0])
     with pytest.raises(ValueError):
-        backward(model, np.zeros((3, 256)))
+        grads_of(model, np.zeros((3, 256)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +358,8 @@ def test_adam_constant_grad_many_steps():
 
 
 def test_adam_leaves_grads_and_counts_steps():
-    # backward overwrites every grad, so adam_step reads them and leaves
-    # them as they are; the step number is the caller's count
+    # adam_step reads the gradient and leaves it as it is; the step number
+    # is the caller's count
     state = _adam(np.ones((2,), dtype=np.float32), 3.0)
     adam_step(*state, 1, lr=0.01)
     assert np.array_equal(state[1], [3.0, 3.0])
@@ -371,22 +384,24 @@ def test_adam_tracks_textbook_oracle(size):
 
 
 def test_parameter_holds_value_grad_and_moments_only():
-    # the model's trainable state is four flat arrays; every weight is a
-    # value view and a grad view at consecutive offsets, in weight_shapes order
+    # the model's trainable state is three flat arrays and no gradient; every
+    # weight is a value view and two moment views at the same offsets,
+    # consecutive in weight_shapes order
     cfg = dataclasses.replace(SMALL, group_size=1)   # odd-sized weights too
     model = TraceModel(cfg, seed=0)
     n = parameter_count(cfg)
     owned = {name: getattr(model, name) for name in model.__slots__
              if isinstance(getattr(model, name, None), np.ndarray)}
-    assert set(owned) == {"values", "grads", "m", "v"}
+    assert set(owned) == {"values", "m", "v"}
     for a in owned.values():
         assert a.shape == (n,) and a.dtype == np.float32 and a.flags.owndata
-    assert sum(a.nbytes for a in owned.values()) == 4 * model.values.nbytes
+    assert sum(a.nbytes for a in owned.values()) == 3 * model.values.nbytes
     lo = 0
     for name, shape in weight_shapes(cfg).items():
         w = getattr(model, name)
         hi = lo + shape[0] * shape[1]
-        for view, flat in ((w.value, model.values), (w.grad, model.grads)):
+        assert w._fields == ("value", "m", "v")
+        for view, flat in ((w.value, model.values), (w.m, model.m), (w.v, model.v)):
             assert view.shape == shape
             assert view.ctypes.data == flat[lo:hi].ctypes.data
         lo = hi

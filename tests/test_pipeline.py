@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import pytest
 from conftest import synthetic_text
 import trc
 from trc.coder import Decoder, Encoder
-from trc.model import MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, parameter_count
+from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, parameter_count,
+                       weight_shapes)
 from trc.pipeline import (
     BadMagicError,
     ChecksumMismatchError,
@@ -609,8 +611,8 @@ def test_gate_updates_iff_loss_beats_the_cache_mean(monkeypatch, capacity, losse
 
 
 def test_gated_run_takes_one_adam_step_per_update(monkeypatch):
-    # the model's one step count goes 1, 2, ... over the updates alone, in
-    # both directions
+    # each update takes one Adam step per weight, and the model's one step
+    # count goes 1, 2, ... over the updates alone, in both directions
     calls = []
     real_adam_step = trc.pipeline.adam_step
 
@@ -623,10 +625,34 @@ def test_gated_run_takes_one_adam_step_per_update(monkeypatch):
     res = compress(data, SMALL, seed=2, lanes=3, controller=True)
     updates = res.stats.decisions - res.stats.skipped
     assert res.stats.skipped > 0 and updates > 0
-    assert calls == list(range(1, updates + 1))
+    want = [t for t in range(1, updates + 1) for _ in weight_shapes(SMALL)]
+    assert calls == want
     calls.clear()
     assert decompress(res.container).data == data
-    assert calls == list(range(1, updates + 1))
+    assert calls == want
+
+
+def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
+    # numpy reports its buffers to tracemalloc. At this shape the parameters
+    # and the FFN arrays dominate, so the peak of one compress is close to
+    # the three flat arrays (values and Adam's moments), the largest weight's
+    # gradient, and the arrays check_model counts for one step. A flat
+    # gradient array would add a fourth parameter-sized array, 23% of that
+    # sum, and break the bound.
+    config = ModelConfig(hidden_dim=64, ffn_dim=1024, num_heads=4)
+    lanes = 16
+    data = synthetic_text(lanes * 40, seed=23)
+    largest = max(a * b for a, b in weight_shapes(config).values())
+    step = lanes * (4 * config.shared_ffn_repeats * config.ffn_dim
+                    + 3 * config.context_len * config.hidden_dim)
+    tracemalloc.start()
+    try:
+        res = compress(data, config, seed=3, lanes=lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stats.decisions == 40 - config.window
+    assert peak <= 1.2 * 4 * (3 * parameter_count(config) + largest + step)
 
 
 def test_quantize_is_called_once_per_main_loop_byte_on_float64_rows(monkeypatch):
