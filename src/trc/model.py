@@ -15,6 +15,16 @@ gradient, in a fresh array, to a callback as soon as it no longer reads that
 weight's value. The train step applies Adam there, so it holds one weight's
 gradient at a time. Everything runs in the arrays' dtype: float32 in
 production, float64 for gradient checking.
+
+A step holds one step's FFN activations. Its two (N, B, f) arrays, the
+pre-GELU `us` and the tanh inside each GELU `ths`, are buffers on the model
+that every forward pass of the same shape and dtype overwrites; forward runs
+the N applications through one (B, f) array and keeps no GELU output.
+`backward` consumes them: once it has read `us[i]` and `ths[i]`, it
+rebuilds that application's GELU output into `ths[i]` with `gelu_from_tanh`,
+the passes `gelu` itself ends with, so the bits are the forward's, and
+writes the pre-GELU gradient over `us[i]`. A second `backward` on one
+forward pass raises ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .nn import (
     gather_rows,
     gelu,
     gelu_backward,
+    gelu_from_tanh,
     matmul,
     scatter_rows,
     softmax_rows,
@@ -98,9 +109,13 @@ def check_model(config: ModelConfig, lanes: int) -> None:
     """Raise ValueError unless hidden_dim is divisible by group_size and by
     num_heads, the model has at most MAX_PARAMETERS parameters, and a train
     step over `lanes` lanes holds at most MAX_STEP_FLOATS floats in its
-    largest arrays: the (N, B, f) FFN arrays us, ths, acts and dus, and the
-    (B, c, h) window x with its keys and values. Every field must already
-    be a positive int."""
+    largest arrays: four (N, B, f) FFN arrays, and the (B, c, h) window x
+    with its keys and values. Every field must already be a positive int.
+
+    A step holds two (N, B, f) arrays, us and ths (see the module
+    docstring), but the cap still counts four, as when GELU's output and
+    the pre-GELU gradient had arrays of their own: the cap decides which
+    v5 headers are legal, so it changes only with the container version."""
     h = config.hidden_dim
     for name, d in (("group_size", config.group_size), ("num_heads", config.num_heads)):
         if h % d:
@@ -117,7 +132,13 @@ def check_model(config: ModelConfig, lanes: int) -> None:
 
 
 class _Saved(NamedTuple):
-    """What one forward_probs call leaves for backward; shapes for B lanes."""
+    """What one forward_probs call leaves for backward; shapes for B lanes.
+
+    us and ths are views of the model's FFN buffers. backward overwrites
+    both and leaves a copy of this record with them set to None, so it
+    runs once. The rest stays on the model until the next forward pass
+    replaces it, which keeps the heap from shrinking and regrowing between
+    steps."""
 
     histories: np.ndarray  # (B, c*g) byte indices
     x: np.ndarray          # (B, c, h) embedded window
@@ -129,7 +150,6 @@ class _Saved(NamedTuple):
     ys: np.ndarray         # (N, B, h) input of each FFN application
     us: np.ndarray         # (N, B, f) pre-GELU
     ths: np.ndarray        # (N, B, f) the tanh inside each GELU
-    acts: np.ndarray       # (N, B, f) post-GELU
     y: np.ndarray          # (B, h) input of the head
     probs: np.ndarray      # (B, 256)
 
@@ -148,17 +168,18 @@ class TraceModel:
     of the last forward pass.
 
     values, m and v are flat arrays of parameter_count(config)
-    entries; steps counts the Adam steps taken. Weights are Glorot-uniform:
-    the weight at flat offset lo takes draws lo, lo+1, ... of one SplitMix64
-    stream, so (config, seed) fully determines the model.
+    entries; steps counts the Adam steps taken; ffn is the (2, N, B, f)
+    array that holds us and ths of the last forward pass. Weights are
+    Glorot-uniform: the weight at flat offset lo takes draws lo, lo+1, ...
+    of one SplitMix64 stream, so (config, seed) fully determines the model.
     """
 
-    __slots__ = ("config", "values", "m", "v", "steps", "saved",
+    __slots__ = ("config", "values", "m", "v", "steps", "saved", "ffn",
                  *weight_shapes(ModelConfig()))
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.saved = None
+        self.saved = self.ffn = None
         self.steps = 0
         n = parameter_count(config)
         self.values = np.empty(n, dtype=np.float32)
@@ -192,7 +213,8 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     and the head are evaluated for that position alone; K and V still span all
     c positions. Dropped positions carry zero gradient in the full
     computation, so the gradients of this path are exact. The activations are
-    kept in `model.saved` for `backward`.
+    kept in `model.saved` for `backward`; us and ths go into `model.ffn`,
+    which is allocated anew only when the lane count or the dtype changes.
     """
     cfg = model.config
     if histories.ndim != 2 or histories.shape[1] != cfg.window:
@@ -217,16 +239,18 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     y += x_last
 
     ys = np.empty((n, b, h), dtype=y.dtype)
-    us = np.empty((n, b, cfg.ffn_dim), dtype=y.dtype)
-    ths = np.empty_like(us)
-    acts = np.empty_like(us)
+    shape = (2, n, b, cfg.ffn_dim)
+    if model.ffn is None or model.ffn.shape != shape or model.ffn.dtype != y.dtype:
+        model.ffn = np.empty(shape, dtype=y.dtype)
+    us, ths = model.ffn
+    act = np.empty((b, cfg.ffn_dim), dtype=y.dtype)
     for i in range(n):
         ys[i] = y
         matmul(y, model.w1.value, out=us[i])
-        gelu(us[i], ths[i], acts[i])
-        y = y + matmul(acts[i], model.w2.value)
+        gelu(us[i], ths[i], act)
+        y = y + matmul(act, model.w2.value)
     probs = softmax_rows(matmul(y, model.output_head.value))
-    model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, acts, y, probs)
+    model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, y, probs)
     return probs
 
 
@@ -251,11 +275,16 @@ def backward(model: TraceModel, dlogits: np.ndarray,
     Each weight is handed over once, right after backward's last read of
     its value, so `apply` may update the value in place. The order is
     output_head, w2, w1, wo, wq, wk, wv, positional_embedding and
-    byte_embedding."""
+    byte_embedding. Backward consumes the forward pass's FFN activations,
+    so a second call before the next forward pass raises ValueError."""
     s = model.saved
-    if s is None or dlogits.shape != s.probs.shape:
+    if s is None or s.us is None:
+        raise ValueError("no forward pass to run backward on: none ran, "
+                         "or backward already consumed the last one")
+    if dlogits.shape != s.probs.shape:
         raise ValueError(f"logit gradient of shape {dlogits.shape} does not match "
                          "the last forward pass")
+    model.saved = s._replace(us=None, ths=None)
     cfg = model.config
     b, c, h = s.x.shape
     heads, ffn = cfg.num_heads, cfg.ffn_dim
@@ -265,34 +294,37 @@ def backward(model: TraceModel, dlogits: np.ndarray,
     dy = dlogits @ model.output_head.value.T
     apply(model.output_head, s.y.T @ dlogits)
 
-    # shared FFN, last application first: y_{i+1} = y_i + gelu(y_i W1) W2
+    # shared FFN, last application first: y_{i+1} = y_i + gelu(y_i W1) W2.
+    # Once gelu_backward has read us[i] and ths[i], ths[i] takes GELU's
+    # output back and us[i] the pre-GELU gradient du.
     dys = np.empty_like(s.ys)
-    dus = np.empty_like(s.us)
+    du = np.empty(s.us.shape[1:], dtype=s.us.dtype)
     for i in reversed(range(cfg.shared_ffn_repeats)):
         dys[i] = dy
-        np.matmul(dy, model.w2.value.T, out=dus[i])
-        gelu_backward(s.us[i], s.ths[i], dus[i])
-        dy = dy + dus[i] @ model.w1.value.T
-    apply(model.w2, s.acts.reshape(-1, ffn).T @ dys.reshape(-1, h))
-    apply(model.w1, s.ys.reshape(-1, h).T @ dus.reshape(-1, ffn))
+        np.matmul(dy, model.w2.value.T, out=du)
+        gelu_backward(s.us[i], s.ths[i], du)
+        gelu_from_tanh(s.us[i], s.ths[i], s.ths[i])
+        s.us[i] = du
+        dy = dy + du @ model.w1.value.T
+    apply(model.w2, s.ths.reshape(-1, ffn).T @ dys.reshape(-1, h))
+    apply(model.w1, s.ys.reshape(-1, h).T @ s.us.reshape(-1, ffn))
 
     # attention of the last position: y = merged W_O + x_last
     dmixed = (dy @ model.wo.value.T).reshape(b, heads, 1, hk)
     apply(model.wo, s.merged.T @ dy)
     datt = dmixed @ s.vt.transpose(0, 1, 3, 2)                  # (B, H, 1, c)
-    dvt = s.att.transpose(0, 1, 3, 2) * dmixed                  # (B, H, c, hk)
+    # dK and dV as (B*c, h) rows; their (B, H, ., .) products are freed at once
+    dv = (s.att.transpose(0, 1, 3, 2) * dmixed).transpose(0, 2, 1, 3).reshape(b * c, h)
     dscores = datt - (datt * s.att).sum(axis=-1, keepdims=True)
     dscores *= s.att
     dscores *= 1.0 / math.sqrt(hk)
     dq = (dscores @ s.kt.transpose(0, 1, 3, 2)).reshape(b, h)
-    dkt = s.q.transpose(0, 1, 3, 2) * dscores                   # (B, H, hk, c)
+    dk = (s.q.transpose(0, 1, 3, 2) * dscores).transpose(0, 3, 1, 2).reshape(b * c, h)
     dx_last = dy + dq @ model.wq.value.T
     apply(model.wq, s.x[:, -1].T @ dq)
 
     # K and V over every position, then the embeddings
     x2 = s.x.reshape(b * c, h)
-    dk = dkt.transpose(0, 3, 1, 2).reshape(b * c, h)
-    dv = dvt.transpose(0, 2, 1, 3).reshape(b * c, h)
     dx = dk @ model.wk.value.T
     dx += dv @ model.wv.value.T
     apply(model.wk, x2.T @ dk)

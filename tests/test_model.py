@@ -8,6 +8,7 @@ gradients within a tolerance set from float32 epsilon).
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,6 +484,7 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
     targets = rng.integers(0, 256, 3, dtype=np.int64)
     _, dlogits = nll_loss(forward_probs(model, histories), targets)
     clean = grads_of(model, dlogits)
+    forward_probs(model, histories)  # backward consumed the first pass
     names = {id(getattr(model, name)): name for name in weight_shapes(TINY)}
     handed = []
 
@@ -497,3 +499,42 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
     for name, grad in handed:
         assert np.isfinite(grad).all(), name
         assert np.array_equal(grad, clean[name]), name
+
+
+def test_a_second_backward_on_one_forward_raises():
+    # backward overwrites the FFN activations it reads, so running it again
+    # would hand over wrong gradients; it refuses until the next forward
+    model = float64_model(TINY, seed=35)
+    rng = np.random.default_rng(35)
+    histories = rng.integers(0, 256, (3, TINY.window), dtype=np.int64)
+    probs = forward_probs(model, histories)
+    _, dlogits = nll_loss(probs, [1, 2, 3])
+    grads_of(model, dlogits)
+    with pytest.raises(ValueError, match="consumed"):
+        grads_of(model, dlogits)
+    assert model.saved.probs is probs
+    forward_probs(model, histories)
+    assert len(grads_of(model, dlogits)) == len(weight_shapes(TINY))
+
+
+def test_a_second_forward_of_one_shape_allocates_no_ffn_array():
+    # us and ths live in buffers that each forward of the same shape
+    # overwrites. At this shape one (N, B, f) array is larger than anything
+    # else a forward pass allocates, so any new trace that large is one.
+    cfg = ModelConfig(hidden_dim=8, ffn_dim=2048, group_size=2, context_len=2,
+                      shared_ffn_repeats=2, num_heads=2)
+    model = TraceModel(cfg, seed=36)
+    rng = np.random.default_rng(36)
+    histories = rng.integers(0, 256, (4, cfg.window), dtype=np.int64)
+    first = forward_probs(model, histories)
+    nbf = cfg.shared_ffn_repeats * len(histories) * cfg.ffn_dim * 4  # float32 bytes
+    tracemalloc.start()
+    try:
+        second = forward_probs(model, histories)
+        sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(second, first)
+    assert max(sizes) < nbf
+    assert peak < nbf

@@ -178,6 +178,11 @@ def test_gather_and_take_forward():
     idx = np.array([4, 0, 0, 2], dtype=np.int64)
     out = gather_rows(table, idx)
     assert np.array_equal(out, table[idx])
+    # the model passes (B, c*g) uint8 byte windows
+    idx = np.array([[4, 1, 1], [0, 3, 2]], dtype=np.uint8)
+    out = gather_rows(table, idx)
+    assert out.shape == (2, 3, 4) and out.dtype == np.float32
+    assert np.array_equal(out, table[idx])
 
     # nll_loss takes each row's target probability
     probs = np.array([[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]], dtype=np.float64)
@@ -295,8 +300,10 @@ def test_backward_mean_gives_equal_shares():
 
 def test_backward_zero_scale_gives_zeros():
     model = float64_model(SMALL, 0)
-    _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 28)[0]), [3, 4])
+    histories = _batch(SMALL, 2, 28)[0]
+    _, dlogits = nll_loss(forward_probs(model, histories), [3, 4])
     grads_of(model, dlogits)
+    forward_probs(model, histories)  # backward consumed the first pass
     zeros = grads_of(model, 0.0 * dlogits)
     assert len(zeros) == len(weight_shapes(SMALL))
     for name, grad in zeros.items():
@@ -306,8 +313,10 @@ def test_backward_zero_scale_gives_zeros():
 
 def test_backward_overwrites_across_calls():
     model = float64_model(SMALL, 0)
-    _, dlogits = nll_loss(forward_probs(model, _batch(SMALL, 2, 29)[0]), [3, 4])
+    histories = _batch(SMALL, 2, 29)[0]
+    _, dlogits = nll_loss(forward_probs(model, histories), [3, 4])
     once = grads_of(model, dlogits)
+    forward_probs(model, histories)  # backward consumed the first pass
     twice = grads_of(model, dlogits)
     assert list(twice) == list(once)
     for name, grad in once.items():

@@ -636,14 +636,16 @@ def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
     # numpy reports its buffers to tracemalloc. At this shape the parameters
     # and the FFN arrays dominate, so the peak of one compress is close to
     # the three flat arrays (values and Adam's moments), the largest weight's
-    # gradient, and the arrays check_model counts for one step. A flat
-    # gradient array would add a fourth parameter-sized array, 23% of that
-    # sum, and break the bound.
+    # gradient, and what one step holds: the (N, B, f) buffers us and ths,
+    # one (B, f) application array, and the (B, c, h) window with its keys
+    # and values. A flat gradient array would add a fourth parameter-sized
+    # array, 23% of that sum, and a third (N, B, f) array, as when each
+    # step kept GELU's output, about 5%; either breaks the bound.
     config = ModelConfig(hidden_dim=64, ffn_dim=1024, num_heads=4)
     lanes = 16
     data = synthetic_text(lanes * 40, seed=23)
     largest = max(a * b for a, b in weight_shapes(config).values())
-    step = lanes * (4 * config.shared_ffn_repeats * config.ffn_dim
+    step = lanes * ((2 * config.shared_ffn_repeats + 1) * config.ffn_dim
                     + 3 * config.context_len * config.hidden_dim)
     tracemalloc.start()
     try:
