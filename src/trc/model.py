@@ -6,10 +6,9 @@ transformer layer whose FFN is applied N times with a single shared weight
 pair, and the last position's representation drives a 256-way softmax.
 There is no layer normalization and no causal mask.
 
-The trainable state is three flat arrays, the values and Adam's two
-moments, laid out by `weight_shapes`; each weight is three views at the same
-offsets, one into each. The graph is fixed, so its backward is written out
-by hand: `forward_probs` keeps the activations `backward` needs on the model,
+Each weight owns three arrays of its shape: its value and Adam's two
+moments. The graph is fixed, so its backward is written out by hand:
+`forward_probs` keeps the activations `backward` needs on the model,
 `nll_loss` gives the logit gradient, and `backward` hands each weight's
 gradient, in a fresh array, to a callback as soon as it no longer reads that
 weight's value. The train step applies Adam there, so it holds one weight's
@@ -48,8 +47,8 @@ from .nn import (
 )
 
 VOCAB = 256
-# Largest model a container may ask for: 64M scalars, 256 MB per float32
-# array, so at most 1 GB for the 3 arrays plus the largest weight's gradient.
+# Largest model a container may ask for: 64M scalars, 256 MB in float32, so
+# at most 1 GB for the values, both moments and the largest weight's gradient.
 # The paper default has 2,443,264.
 MAX_PARAMETERS = 1 << 26
 # Most floats a train step may hold in activations and their gradients: 1 GB
@@ -82,10 +81,10 @@ class ModelConfig:
 
 
 def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Every weight's (fan_in, fan_out), in the order the weights lie in the
-    flat arrays. The order is part of the format: each weight's initial values
-    are the PRNG draws at its flat offsets, and the decoder rebuilds the model
-    from the seed alone."""
+    """Every weight's (fan_in, fan_out), in the order the weights take their
+    initial values from one PRNG stream. The order is part of the format: each
+    weight's draws start where the previous weight's end, and the decoder
+    rebuilds the model from the seed alone."""
     h = config.hidden_dim
     return {
         "byte_embedding": (VOCAB, h // config.group_size),
@@ -155,8 +154,7 @@ class _Saved(NamedTuple):
 
 
 class Weight(NamedTuple):
-    """One weight matrix and its Adam moments: views at the same offsets
-    into a TraceModel's flat values, m and v."""
+    """One weight matrix and its Adam moments, three arrays of one shape."""
 
     value: np.ndarray
     m: np.ndarray
@@ -167,43 +165,32 @@ class TraceModel:
     """All trainable state, the config that shaped it, and the activations
     of the last forward pass.
 
-    values, m and v are flat arrays of parameter_count(config)
-    entries; steps counts the Adam steps taken; ffn is the (2, N, B, f)
-    array that holds us and ths of the last forward pass. Weights are
-    Glorot-uniform: the weight at flat offset lo takes draws lo, lo+1, ...
+    Each weight named in weight_shapes is a Weight attribute; steps counts
+    the Adam steps taken; ffn is the (2, N, B, f) array that holds us and ths
+    of the last forward pass. Weights are Glorot-uniform: a weight whose
+    predecessors in weight_shapes hold lo scalars takes draws lo, lo+1, ...
     of one SplitMix64 stream, so (config, seed) fully determines the model.
     """
 
-    __slots__ = ("config", "values", "m", "v", "steps", "saved", "ffn",
-                 *weight_shapes(ModelConfig()))
+    __slots__ = ("config", "steps", "saved", "ffn", *weight_shapes(ModelConfig()))
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.saved = self.ffn = None
         self.steps = 0
-        n = parameter_count(config)
-        self.values = np.empty(n, dtype=np.float32)
-        # np.zeros takes pages the OS zeroes on first touch, in Adam
-        self.m, self.v = (np.zeros(n, dtype=np.float32) for _ in range(2))
         lo = 0
-        for fan_in, fan_out in weight_shapes(config).values():
-            hi = lo + fan_in * fan_out
+        for name, (fan_in, fan_out) in weight_shapes(config).items():
+            n = fan_in * fan_out
             bound = math.sqrt(6.0 / (fan_in + fan_out))
+            value = np.empty((fan_in, fan_out), dtype=np.float32)
             # draw in SLICE runs, so the float64 temporaries stay small
-            for a in range(lo, hi, SLICE):
-                b = min(a + SLICE, hi)
-                self.values[a:b] = fill_uniform(seed, a, b - a, -bound, bound)
-            lo = hi
-        self.bind()
-
-    def bind(self) -> None:
-        """Point every weight at its slice of values, m and v."""
-        lo = 0
-        for name, shape in weight_shapes(self.config).items():
-            hi = lo + shape[0] * shape[1]
-            setattr(self, name, Weight(*(a[lo:hi].reshape(shape)
-                                         for a in (self.values, self.m, self.v))))
-            lo = hi
+            for a in range(0, n, SLICE):
+                b = min(a + SLICE, n)
+                value.reshape(-1)[a:b] = fill_uniform(seed, lo + a, b - a, -bound, bound)
+            # np.zeros takes pages the OS zeroes on first touch, in Adam
+            m, v = (np.zeros((fan_in, fan_out), dtype=np.float32) for _ in range(2))
+            setattr(self, name, Weight(value, m, v))
+            lo += n
 
 
 def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:

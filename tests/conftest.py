@@ -32,15 +32,13 @@ def numeric_grad(loss_fn, arrays, step=1e-3):
 
 
 def float64_model(config, seed):
-    """TraceModel(config, seed) with its three flat arrays widened to float64
-    and its weights re-bound to them, so the whole forward and backward run
-    in float64."""
-    from trc.model import TraceModel
+    """TraceModel(config, seed) with every weight's value and moments widened
+    to float64, so the whole forward and backward run in float64."""
+    from trc.model import TraceModel, Weight, weight_shapes
 
     model = TraceModel(config, seed)
-    for name in ("values", "m", "v"):
-        setattr(model, name, getattr(model, name).astype(np.float64))
-    model.bind()
+    for name in weight_shapes(config):
+        setattr(model, name, Weight(*(a.astype(np.float64) for a in getattr(model, name))))
     return model
 
 

@@ -75,7 +75,6 @@ def test_parameter_count_matches_shape_sum():
                 ModelConfig(hidden_dim=64, ffn_dim=128, group_size=1,
                             context_len=3, num_heads=4)):
         model = TraceModel(cfg, seed=1)
-        assert parameter_count(cfg) == model.values.size
         assert parameter_count(cfg) == sum(w.value.size for w in _weights(model))
 
 
@@ -117,7 +116,8 @@ def test_shared_ffn_is_one_parameter_pair():
 def test_same_seed_bit_identical_weights():
     a = TraceModel(TINY, seed=77)
     b = TraceModel(TINY, seed=77)
-    assert np.array_equal(a.values, b.values)
+    for wa, wb in zip(_weights(a), _weights(b)):
+        assert wa.value.tobytes() == wb.value.tobytes()
 
 
 def test_different_seeds_differ():
@@ -128,8 +128,8 @@ def test_different_seeds_differ():
 
 def test_init_drawn_in_slices_equals_one_draw_per_weight():
     # w1 and w2 are two SLICE runs long, so init draws them in pieces; each
-    # weight must still be one run of draws from its flat offset, and both
-    # moments must start at zero
+    # weight must still be one run of draws from its flat offset, the sum of
+    # the sizes of the weights before it, and both moments must start at zero
     config = ModelConfig(hidden_dim=64, ffn_dim=2048, num_heads=4)
     model = TraceModel(config, seed=11)
     lo = 0
@@ -137,12 +137,13 @@ def test_init_drawn_in_slices_equals_one_draw_per_weight():
         n = fan_in * fan_out
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         want = fill_uniform(11, lo, n, -bound, bound).astype(np.float32)
-        assert np.array_equal(getattr(model, name).value.reshape(-1), want), name
+        w = getattr(model, name)
+        assert np.array_equal(w.value.reshape(-1), want), name
+        for state in (w.m, w.v):
+            assert state.dtype == np.float32 and state.shape == (fan_in, fan_out), name
+            assert not state.any(), name
         lo += n
     assert max(a * b for a, b in weight_shapes(config).values()) > SLICE
-    for state in (model.m, model.v):
-        assert state.dtype == np.float32 and state.shape == model.values.shape
-        assert not state.any()
 
 
 def test_init_respects_glorot_bounds():

@@ -1,4 +1,4 @@
-"""Array kernels, the hand-written backward, the flat trainable state, Adam,
+"""Array kernels, the hand-written backward, the trainable state, Adam,
 and the PRNG.
 
 Ground truth comes from in-test oracles: a scalar triple-loop matmul, closed
@@ -333,7 +333,7 @@ def test_backward_rejects_mismatched_logit_grad():
 
 
 # ---------------------------------------------------------------------------
-# the flat trainable state and Adam
+# the trainable state and Adam
 
 
 def _adam(value, grad, m=None, v=None):
@@ -393,28 +393,22 @@ def test_adam_tracks_textbook_oracle(size):
 
 
 def test_parameter_holds_value_grad_and_moments_only():
-    # the model's trainable state is three flat arrays and no gradient; every
-    # weight is a value view and two moment views at the same offsets,
-    # consecutive in weight_shapes order
+    # the model's trainable state is each weight's value and two moments, and
+    # no gradient: no array hangs off the model but through a weight, and
+    # each weight's three arrays own their data in the weight's shape
     cfg = dataclasses.replace(SMALL, group_size=1)   # odd-sized weights too
     model = TraceModel(cfg, seed=0)
-    n = parameter_count(cfg)
-    owned = {name: getattr(model, name) for name in model.__slots__
-             if isinstance(getattr(model, name, None), np.ndarray)}
-    assert set(owned) == {"values", "m", "v"}
-    for a in owned.values():
-        assert a.shape == (n,) and a.dtype == np.float32 and a.flags.owndata
-    assert sum(a.nbytes for a in owned.values()) == 3 * model.values.nbytes
-    lo = 0
+    assert not [name for name in model.__slots__
+                if isinstance(getattr(model, name, None), np.ndarray)]
+    arrays = []
     for name, shape in weight_shapes(cfg).items():
         w = getattr(model, name)
-        hi = lo + shape[0] * shape[1]
         assert w._fields == ("value", "m", "v")
-        for view, flat in ((w.value, model.values), (w.m, model.m), (w.v, model.v)):
-            assert view.shape == shape
-            assert view.ctypes.data == flat[lo:hi].ctypes.data
-        lo = hi
-    assert lo == n
+        for a in w:
+            assert a.shape == shape and a.dtype == np.float32
+            assert a.flags.owndata and a.flags.c_contiguous
+        arrays += w
+    assert sum(a.nbytes for a in arrays) == 12 * parameter_count(cfg)
 
 
 def test_adam_rejects_bad_lr():

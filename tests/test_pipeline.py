@@ -8,6 +8,7 @@ metrics.
 """
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -462,6 +463,49 @@ def test_replay_is_bit_identical_across_blas_thread_counts():
     assert digests[0] == digests[1]
 
 
+ODD = ModelConfig(hidden_dim=12, ffn_dim=20, group_size=3, context_len=3,
+                  shared_ffn_repeats=2, num_heads=3)  # odd weight sizes, window 9
+
+
+def _at_shift(a, shift):
+    """A copy of a whose data starts `shift` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + shift
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@functools.cache
+def _unshifted_container(config, lanes):
+    return compress(synthetic_text(360, seed=26), config, seed=5, lanes=lanes).container
+
+
+@pytest.mark.parametrize("config, lanes", [(ODD, 3), (TINY, 4)], ids=["odd-shape", "tiny"])
+@pytest.mark.parametrize("shift", range(0, 64, 4))
+def test_container_does_not_depend_on_where_the_weights_lie(monkeypatch, config, lanes,
+                                                             shift):
+    # each weight's value and moments are arrays of their own, placed by the
+    # allocator in the encoder and in the decoder alike, so no layout fixes
+    # their alignment: the bits must not depend on it
+    data = synthetic_text(360, seed=26)
+    want = _unshifted_container(config, lanes)
+    real_model = trc.pipeline.TraceModel
+
+    def shifted_model(config, seed):
+        model = real_model(config, seed)
+        for name in weight_shapes(config):
+            w = getattr(model, name)
+            setattr(model, name, type(w)(*(_at_shift(a, shift) for a in w)))
+            assert all(a.ctypes.data % 64 == shift for a in getattr(model, name))
+        return model
+
+    monkeypatch.setattr(trc.pipeline, "TraceModel", shifted_model)
+    res = compress(data, config, seed=5, lanes=lanes)
+    assert res.container == want
+    assert decompress(res.container).data == data
+
+
 def test_different_seed_changes_container():
     data = synthetic_text(1500, seed=2)
     a = compress(data, SMALL, seed=1, lanes=4)
@@ -635,11 +679,11 @@ def test_gated_run_takes_one_adam_step_per_update(monkeypatch):
 def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
     # numpy reports its buffers to tracemalloc. At this shape the parameters
     # and the FFN arrays dominate, so the peak of one compress is close to
-    # the three flat arrays (values and Adam's moments), the largest weight's
-    # gradient, and what one step holds: the (N, B, f) buffers us and ths,
-    # one (B, f) application array, and the (B, c, h) window with its keys
-    # and values. A flat gradient array would add a fourth parameter-sized
-    # array, 23% of that sum, and a third (N, B, f) array, as when each
+    # the weights' values and Adam moments, the largest weight's gradient,
+    # and what one step holds: the (N, B, f) buffers us and ths, one (B, f)
+    # application array, and the (B, c, h) window with its keys and values.
+    # A gradient for every weight would add a fourth parameter-sized set of
+    # arrays, 23% of that sum, and a third (N, B, f) array, as when each
     # step kept GELU's output, about 5%; either breaks the bound.
     config = ModelConfig(hidden_dim=64, ffn_dim=1024, num_heads=4)
     lanes = 16
