@@ -134,8 +134,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float) -> None:
     """Bias-corrected Adam step number t (counted from 1) on C-contiguous
-    arrays of one shape and dtype, such as a weight's views, in place; leaves
-    grad as it is.
+    arrays of one shape and dtype, such as a weight's value and moments, in
+    place; leaves grad as it is.
 
     The moments are stored unscaled, m~ = m / (1-b1) and v~ = v / (1-b2):
 

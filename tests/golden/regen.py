@@ -39,10 +39,11 @@ def _records(n: int) -> bytes:
 
 # name -> (input, compress keyword arguments); the config is TINY unless the
 # arguments name another. odd-shape pins widths that are no multiple of 8
-# floats (hidden 12, FFN 20, 4 per head and per embedded byte), so the matrix
-# products run their edge cases. Where each weight lies in memory is up to the
-# allocator; test_pipeline's test_container_does_not_depend_on_where_the_weights_lie
-# pins that its alignment does not change the bits.
+# floats (hidden 12, FFN 20, 4 per head and per embedded byte), so no weight
+# row is a whole number of 8-float vectors. Where each weight lies in memory
+# is up to the allocator; test_pipeline's
+# test_container_does_not_depend_on_where_the_weights_lie pins that its
+# alignment does not change the bits.
 CASES = {
     "text-lanes4": (synthetic_text(560, seed=21), {"seed": 1, "lanes": 4}),
     "records-gated": (_records(600), {"seed": 2, "lanes": 2, "controller": True,

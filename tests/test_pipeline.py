@@ -23,8 +23,8 @@ import pytest
 from conftest import synthetic_text
 import trc
 from trc.coder import Decoder, Encoder
-from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, parameter_count,
-                       weight_shapes)
+from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, Weight,
+                       parameter_count, weight_shapes)
 from trc.pipeline import (
     BadMagicError,
     ChecksumMismatchError,
@@ -464,7 +464,7 @@ def test_replay_is_bit_identical_across_blas_thread_counts():
 
 
 ODD = ModelConfig(hidden_dim=12, ffn_dim=20, group_size=3, context_len=3,
-                  shared_ffn_repeats=2, num_heads=3)  # odd weight sizes, window 9
+                  shared_ffn_repeats=2, num_heads=3)  # the golden odd-shape config
 
 
 def _at_shift(a, shift):
@@ -496,7 +496,7 @@ def test_container_does_not_depend_on_where_the_weights_lie(monkeypatch, config,
         model = real_model(config, seed)
         for name in weight_shapes(config):
             w = getattr(model, name)
-            setattr(model, name, type(w)(*(_at_shift(a, shift) for a in w)))
+            setattr(model, name, Weight(*(_at_shift(a, shift) for a in w)))
             assert all(a.ctypes.data % 64 == shift for a in getattr(model, name))
         return model
 
