@@ -7,9 +7,10 @@ pair, and the last position's representation drives a 256-way softmax.
 There is no layer normalization and no causal mask.
 
 Each weight owns three arrays of its shape: its value and Adam's two
-moments. The graph is fixed, so its backward is written out by hand:
-`forward_probs` keeps the activations `backward` needs on the model,
-`nll_loss` gives the logit gradient, and `backward` hands each weight's
+moments. The graph and its loss are fixed, so the backward is written out
+by hand: `forward_probs` keeps the activations `backward` needs on the
+model, `nll_loss` gives the loss alone, and `backward` takes the targets,
+forms the logit gradient in the saved probabilities, and hands each weight's
 gradient, in a fresh array, to a callback as soon as it no longer reads that
 weight's value. The train step applies Adam there, so it holds one weight's
 gradient at a time. Everything runs in the arrays' dtype: float32 in
@@ -134,10 +135,10 @@ class _Saved(NamedTuple):
     """What one forward_probs call leaves for backward; shapes for B lanes.
 
     us and ths are views of the model's FFN buffers. backward overwrites
-    both and leaves a copy of this record with them set to None, so it
-    runs once. The rest stays on the model until the next forward pass
-    replaces it, which keeps the heap from shrinking and regrowing between
-    steps."""
+    them and probs, and leaves a copy of this record with the three set to
+    None, so it runs once. The rest stays on the model until the next
+    forward pass replaces it, which keeps the heap from shrinking and
+    regrowing between steps."""
 
     histories: np.ndarray  # (B, c*g) byte indices
     x: np.ndarray          # (B, c, h) embedded window
@@ -241,43 +242,41 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     return probs
 
 
-def nll_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood of targets under (B, 256) probabilities,
-    and its gradient with respect to the logits, (probs - onehot) / B."""
-    targets = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(probs.shape[0])
-    loss = -float(np.log(probs[rows, targets]).mean())
-    grad = probs.copy()
-    grad[rows, targets] -= 1.0
-    grad /= probs.shape[0]
-    return loss, grad
+def nll_loss(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean negative log-likelihood of targets under (B, 256) probabilities."""
+    return -float(np.log(probs[np.arange(len(probs)), targets]).mean())
 
 
-def backward(model: TraceModel, dlogits: np.ndarray,
+def backward(model: TraceModel, targets: np.ndarray,
              apply: Callable[[Weight, np.ndarray], None]) -> None:
-    """Compute d(loss)/d(parameter) for every weight, given the logit
-    gradient of the last forward_probs call, and hand each to
+    """Compute d(nll_loss)/d(parameter) for every weight at the last
+    forward_probs call and its B targets, and hand each to
     `apply(weight, grad)` in a fresh array of the weight's shape.
 
     Each weight is handed over once, right after backward's last read of
     its value, so `apply` may update the value in place. The order is
     output_head, w2, w1, wo, wq, wk, wv, positional_embedding and
-    byte_embedding. Backward consumes the forward pass's FFN activations,
-    so a second call before the next forward pass raises ValueError."""
+    byte_embedding. Backward consumes the forward pass's FFN activations
+    and its probabilities, which become the logit gradient
+    (probs - onehot) / B, so a second call before the next forward pass
+    raises ValueError, as do targets for another lane count."""
     s = model.saved
     if s is None or s.us is None:
         raise ValueError("no forward pass to run backward on: none ran, "
                          "or backward already consumed the last one")
-    if dlogits.shape != s.probs.shape:
-        raise ValueError(f"logit gradient of shape {dlogits.shape} does not match "
-                         "the last forward pass")
-    model.saved = s._replace(us=None, ths=None)
-    cfg = model.config
     b, c, h = s.x.shape
+    if np.shape(targets) != (b,):
+        raise ValueError(f"targets of shape {np.shape(targets)} do not match "
+                         f"the last forward pass's {b} lanes")
+    model.saved = s._replace(us=None, ths=None, probs=None)
+    cfg = model.config
     heads, ffn = cfg.num_heads, cfg.ffn_dim
     hk = h // heads
 
     # head
+    dlogits = s.probs
+    dlogits[np.arange(b), targets] -= 1.0
+    dlogits /= b
     dy = dlogits @ model.output_head.value.T
     apply(model.output_head, s.y.T @ dlogits)
 

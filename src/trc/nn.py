@@ -135,7 +135,7 @@ def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float) -> None:
     """Bias-corrected Adam step number t (counted from 1) on C-contiguous
     arrays of one shape and dtype, such as a weight's value and moments, in
-    place; leaves grad as it is.
+    place; overwrites grad.
 
     The moments are stored unscaled, m~ = m / (1-b1) and v~ = v / (1-b2):
 
@@ -151,27 +151,27 @@ def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     so every scale is folded into the two scalars k and eps', and each element
     takes ten passes: two for m~, three for v~ (one squares g), then sqrt, add
     eps', divide, scale by k and subtract from the value. They run slice by
-    slice, with one slice of scratch; every pass is elementwise, so where the
-    slices fall does not change a bit."""
+    slice, and each slice of grad is the scratch of the later passes once
+    m~ has read it; every pass is elementwise, so where the slices fall does
+    not change a bit."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     r = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
     k = lr * (1.0 - BETA1) / (1.0 - BETA1 ** t) * r
     eps_t = EPS * r
     value, grad, m, v = (a.reshape(-1) for a in (value, grad, m, v))
-    scratch = np.empty(min(value.size, SLICE), dtype=value.dtype)
     for lo, hi in _slices(value.size):
-        g, mi, vi, s = grad[lo:hi], m[lo:hi], v[lo:hi], scratch[:hi - lo]
+        g, mi, vi = grad[lo:hi], m[lo:hi], v[lo:hi]
         mi *= BETA1
         mi += g
         vi *= BETA2
-        np.multiply(g, g, out=s)
-        vi += s
-        np.sqrt(vi, out=s)
-        s += eps_t
-        np.divide(mi, s, out=s)
-        s *= k
-        value[lo:hi] -= s
+        np.multiply(g, g, out=g)
+        vi += g
+        np.sqrt(vi, out=g)
+        g += eps_t
+        np.divide(mi, g, out=g)
+        g *= k
+        value[lo:hi] -= g
 
 
 def fill_uniform(seed: int, first: int, n: int, lo: float, hi: float) -> np.ndarray:

@@ -265,9 +265,9 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     With the controller on, a step updates the model only if its loss
     exceeds the mean of the last cache_capacity losses: ties skip, and an
     empty cache updates. Every loss then enters the cache. An update counts
-    the step first, then runs backward, whose callback takes one Adam step
-    on each weight as soon as its gradient is final, so the step holds one
-    weight's gradient at a time."""
+    the step first, then runs backward on the step's bytes, whose callback
+    takes one Adam step on each weight as soon as its gradient is final, so
+    the step holds one weight's gradient at a time."""
     metrics = StreamMetrics()
     window = header.config.window
     starts, sizes = lane_layout(header.original_length, header.lanes)
@@ -297,7 +297,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
             # widen once per step; quantize then takes each float64 row as it is
             for p, i in zip(probs.astype(np.float64), pos.tolist()):
                 code(i, quantize(p))
-            e, dlogits = nll_loss(probs, buf[pos])
+            e = nll_loss(probs, buf[pos])
             loss_sum += e
             update = True
             if header.controller_enabled:
@@ -308,7 +308,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
                     cache_sum -= cache.popleft()
             if update:
                 model.steps += 1
-                backward(model, dlogits, update_weight)
+                backward(model, buf[pos], update_weight)
         metrics.chunks.append(ChunkMetrics(
             steps=last - first, bytes_in=int((np.clip(sizes, first, last) - first).sum()),
             bits_out=shifts() - bits, mean_loss=loss_sum / (last - first),

@@ -67,17 +67,17 @@ class TextbookAdam:
         self.value = self.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def grads_of(model: TraceModel, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Every weight's gradient from one backward call, by weight name in the
-    order backward hands them over. The recording callback leaves the
-    weights as they are."""
+def grads_of(model: TraceModel, targets) -> dict[str, np.ndarray]:
+    """Every weight's gradient from one backward call on the last forward
+    pass and its targets, by weight name in the order backward hands them
+    over. The recording callback leaves the weights as they are."""
     names = {id(getattr(model, name)): name for name in weight_shapes(model.config)}
     grads = {}
 
     def record(weight, grad):
         grads[names[id(weight)]] = grad
 
-    backward(model, dlogits, record)
+    backward(model, targets, record)
     return grads
 
 

@@ -389,9 +389,9 @@ def test_predict_memorizes_repeating_stream():
         adam_step(w.value, grad, w.m, w.v, model.steps, lr=0.01)
 
     for _ in range(500):
-        _, dlogits = nll_loss(forward_probs(model, windows), targets)
+        forward_probs(model, windows)
         model.steps += 1
-        backward(model, dlogits, step)
+        backward(model, targets, step)
     p0 = predict(bytes([a, b] * 4), model)
     p1 = predict(bytes([b, a] * 4), model)
     assert p0[a] > 0.9
@@ -419,10 +419,10 @@ def run_model_gradcheck(cfg, seed):
     targets = rng.integers(0, 256, 2, dtype=np.int64)
 
     def loss_value():
-        return nll_loss(forward_probs(model, histories), targets)[0]
+        return nll_loss(forward_probs(model, histories), targets)
 
-    _, dlogits = nll_loss(forward_probs(model, histories), targets)
-    grads = grads_of(model, dlogits)
+    forward_probs(model, histories)
+    grads = grads_of(model, targets)
 
     used_rows = np.unique(histories)
     for name, analytic in grads.items():
@@ -467,12 +467,33 @@ def test_float32_step_gradients_track_float64():
     histories = rng.integers(0, 256, (16, cfg.window), dtype=np.int64)
     targets = rng.integers(0, 256, 16, dtype=np.int64)
     tol = 32 * np.finfo(np.float32).eps
-    g32, g64 = (grads_of(model, nll_loss(forward_probs(model, histories), targets)[1])
-                for model in (m32, m64))
-    np.testing.assert_allclose(m32.saved.probs, m64.saved.probs, rtol=tol, atol=0)
+    # backward turns the probabilities into the logit gradient, so keep copies
+    p32, p64 = (forward_probs(model, histories).copy() for model in (m32, m64))
+    g32, g64 = (grads_of(model, targets) for model in (m32, m64))
+    np.testing.assert_allclose(p32, p64, rtol=tol, atol=0)
     for name, grad in g32.items():
         assert grad.dtype == np.float32
         assert np.abs(grad - g64[name]).max() <= tol * np.abs(g64[name]).max()
+
+
+@pytest.mark.parametrize("lanes", [5, 64])
+@pytest.mark.parametrize("build", [TraceModel, float64_model], ids=["float32", "float64"])
+def test_backward_forms_the_logit_gradient_in_place_bit_for_bit(build, lanes):
+    # backward turns the forward pass's probabilities into (p - onehot) / B
+    # in place. The head's gradient must be y.T @ that gradient formed from a
+    # copy of p, with int64 targets, to the bit: the same float operations in
+    # the same dtype. This holds on any BLAS build, unlike the goldens.
+    model = build(TINY, 37)
+    rng = np.random.default_rng(lanes)
+    histories = rng.integers(0, 256, (lanes, TINY.window), dtype=np.uint8)
+    targets = rng.integers(0, 256, lanes).astype(np.uint8)   # as the pipeline passes them
+    dlogits = forward_probs(model, histories).copy()
+    dlogits[np.arange(lanes), targets.astype(np.int64)] -= 1.0
+    dlogits /= lanes
+    want = model.saved.y.T @ dlogits
+    got = grads_of(model, targets)["output_head"]
+    assert got.dtype == want.dtype == model.output_head.value.dtype
+    assert np.array_equal(got, want)
 
 
 def test_backward_hands_each_weight_over_once_after_its_last_read():
@@ -483,8 +504,8 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
     rng = np.random.default_rng(34)
     histories = rng.integers(0, 256, (3, TINY.window), dtype=np.int64)
     targets = rng.integers(0, 256, 3, dtype=np.int64)
-    _, dlogits = nll_loss(forward_probs(model, histories), targets)
-    clean = grads_of(model, dlogits)
+    forward_probs(model, histories)
+    clean = grads_of(model, targets)
     forward_probs(model, histories)  # backward consumed the first pass
     names = {id(getattr(model, name)): name for name in weight_shapes(TINY)}
     handed = []
@@ -493,7 +514,7 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
         handed.append((names[id(weight)], grad.copy()))
         weight.value.fill(np.nan)
 
-    backward(model, dlogits, poison)
+    backward(model, targets, poison)
     assert [name for name, _ in handed] == [
         "output_head", "w2", "w1", "wo", "wq", "wk", "wv",
         "positional_embedding", "byte_embedding"]
@@ -503,19 +524,21 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
 
 
 def test_a_second_backward_on_one_forward_raises():
-    # backward overwrites the FFN activations it reads, so running it again
-    # would hand over wrong gradients; it refuses until the next forward
+    # backward overwrites the FFN activations and the probabilities it
+    # reads, so running it again would hand over wrong gradients; it refuses
+    # until the next forward. The rest of the pass stays on the model.
     model = float64_model(TINY, seed=35)
     rng = np.random.default_rng(35)
     histories = rng.integers(0, 256, (3, TINY.window), dtype=np.int64)
-    probs = forward_probs(model, histories)
-    _, dlogits = nll_loss(probs, [1, 2, 3])
-    grads_of(model, dlogits)
-    with pytest.raises(ValueError, match="consumed"):
-        grads_of(model, dlogits)
-    assert model.saved.probs is probs
     forward_probs(model, histories)
-    assert len(grads_of(model, dlogits)) == len(weight_shapes(TINY))
+    x = model.saved.x
+    grads_of(model, [1, 2, 3])
+    with pytest.raises(ValueError, match="consumed"):
+        grads_of(model, [1, 2, 3])
+    assert model.saved.probs is model.saved.us is model.saved.ths is None
+    assert model.saved.x is x
+    forward_probs(model, histories)
+    assert len(grads_of(model, [1, 2, 3])) == len(weight_shapes(TINY))
 
 
 def test_a_second_forward_of_one_shape_allocates_no_ffn_array():

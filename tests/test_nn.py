@@ -14,8 +14,8 @@ import pytest
 
 from conftest import assert_grads_close, float64_model, numeric_grad
 from oracles import TextbookAdam, grads_of, rng_uniform, splitmix64
-from trc.model import (ModelConfig, TraceModel, forward_probs, nll_loss, parameter_count,
-                       weight_shapes)
+from trc.model import (ModelConfig, TraceModel, backward, forward_probs, nll_loss,
+                       parameter_count, weight_shapes)
 from trc.nn import (
     SLICE,
     adam_step,
@@ -186,9 +186,9 @@ def test_gather_and_take_forward():
 
     # nll_loss takes each row's target probability
     probs = np.array([[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]], dtype=np.float64)
-    loss, grad = nll_loss(probs, np.array([1, 2]))
+    loss = nll_loss(probs, np.array([1, 2]))
+    assert type(loss) is float
     assert loss == pytest.approx(-(math.log(0.25) + math.log(0.75)) / 2, rel=1e-15)
-    np.testing.assert_array_equal(grad, [[0.25, -0.375, 0.125], [0.0625, 0.0625, -0.125]])
 
 
 def test_scatter_rows_equals_add_at_on_repeated_bytes():
@@ -217,10 +217,10 @@ def _fd_check(cfg, names, histories, targets, seed=0):
     histories = np.asarray(histories, dtype=np.int64)
 
     def loss_value():
-        return nll_loss(forward_probs(model, histories), targets)[0]
+        return nll_loss(forward_probs(model, histories), targets)
 
-    _, dlogits = nll_loss(forward_probs(model, histories), targets)
-    grads = grads_of(model, dlogits)
+    forward_probs(model, histories)
+    grads = grads_of(model, targets)
     for name in names:
         numeric = numeric_grad(loss_value, [getattr(model, name).value])[0]
         assert_grads_close(grads[name], numeric)
@@ -246,15 +246,13 @@ def test_backward_batched_matmul():
 
 
 def test_backward_softmax_log_take():
+    # the loss the logit gradient belongs to: the mean of logsumexp minus
+    # the target's logit
     rng = np.random.default_rng(23)
     logits = rng.standard_normal((3, 5))
     idx = np.array([2, 0, 1], dtype=np.int64)
-
-    def run():
-        return nll_loss(softmax_rows(logits), idx)[0]
-
-    _, analytic = nll_loss(softmax_rows(logits), idx)
-    assert_grads_close(analytic, numeric_grad(run, [logits])[0])
+    want = np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(3), idx])
+    assert nll_loss(softmax_rows(logits), idx) == pytest.approx(want, rel=1e-14)
 
 
 def test_backward_add_broadcast():
@@ -289,47 +287,41 @@ def test_backward_mean_gives_equal_shares():
 
     def grads(reps):
         model = float64_model(SMALL, 0)
-        _, dlogits = nll_loss(forward_probs(model, np.repeat(histories, reps, axis=0)),
-                              np.repeat(targets, reps))
-        return grads_of(model, dlogits)
+        forward_probs(model, np.repeat(histories, reps, axis=0))
+        return grads_of(model, np.repeat(targets, reps))
 
     one, three = grads(1), grads(3)
     for name, grad in one.items():
         np.testing.assert_allclose(three[name], grad, rtol=1e-12, atol=1e-15)
 
 
-def test_backward_zero_scale_gives_zeros():
-    model = float64_model(SMALL, 0)
-    histories = _batch(SMALL, 2, 28)[0]
-    _, dlogits = nll_loss(forward_probs(model, histories), [3, 4])
-    grads_of(model, dlogits)
-    forward_probs(model, histories)  # backward consumed the first pass
-    zeros = grads_of(model, 0.0 * dlogits)
-    assert len(zeros) == len(weight_shapes(SMALL))
-    for name, grad in zeros.items():
-        assert grad.shape == getattr(model, name).value.shape
-        assert not grad.any(), name
-
-
 def test_backward_overwrites_across_calls():
     model = float64_model(SMALL, 0)
     histories = _batch(SMALL, 2, 29)[0]
-    _, dlogits = nll_loss(forward_probs(model, histories), [3, 4])
-    once = grads_of(model, dlogits)
+    forward_probs(model, histories)
+    once = grads_of(model, [3, 4])
     forward_probs(model, histories)  # backward consumed the first pass
-    twice = grads_of(model, dlogits)
+    twice = grads_of(model, [3, 4])
     assert list(twice) == list(once)
     for name, grad in once.items():
         assert np.array_equal(twice[name], grad), name
 
 
 def test_backward_rejects_mismatched_logit_grad():
+    # no forward pass, or targets for another lane count (one would
+    # broadcast over the lanes): backward raises and hands over nothing
     model = float64_model(SMALL, 0)
+    handed = []
     with pytest.raises(ValueError):
-        grads_of(model, np.zeros((2, 256)))  # no forward pass yet
-    forward_probs(model, _batch(SMALL, 2, 30)[0])
-    with pytest.raises(ValueError):
-        grads_of(model, np.zeros((3, 256)))
+        backward(model, [3, 4], lambda w, g: handed.append(w))
+    histories, targets = _batch(SMALL, 2, 30)
+    forward_probs(model, histories)
+    for wrong in (targets[:1], np.append(targets, 5)):
+        with pytest.raises(ValueError):
+            backward(model, wrong, lambda w, g: handed.append(w))
+    assert handed == []
+    # a refused call consumes nothing
+    assert len(grads_of(model, targets)) == len(weight_shapes(SMALL))
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +353,25 @@ def test_adam_first_step_moves_by_lr():
 def test_adam_constant_grad_many_steps():
     state = _adam(np.zeros((1,), dtype=np.float64), 2.0)
     for t in range(1, 51):
+        state[1][:] = 2.0   # adam_step overwrites the gradient
         adam_step(*state, t, lr=0.001)
     # each step with constant gradient moves about -lr
     np.testing.assert_allclose(state[0], -0.05, rtol=1e-3)
 
 
 def test_adam_leaves_grads_and_counts_steps():
-    # adam_step reads the gradient and leaves it as it is; the step number
-    # is the caller's count
-    state = _adam(np.ones((2,), dtype=np.float32), 3.0)
-    adam_step(*state, 1, lr=0.01)
-    assert np.array_equal(state[1], [3.0, 3.0])
-    adam_step(*state, 2, lr=0.01)
-    assert np.array_equal(state[1], [3.0, 3.0])
+    # adam_step works in the gradient it is handed, so a caller that needs
+    # its gradient again hands over a copy and keeps its own. The step
+    # number is the caller's count: under a constant gradient each
+    # bias-corrected step moves by lr, and a second step numbered 1 would
+    # move by 1.34 lr.
+    value, grad, m, v = _adam(np.ones((2,), dtype=np.float32), 3.0)
+    for t in (1, 2):
+        handed = grad.copy()
+        adam_step(value, handed, m, v, t, lr=0.01)
+        assert np.array_equal(grad, [3.0, 3.0])
+        assert not np.array_equal(handed, grad)
+    np.testing.assert_allclose(value, 1.0 - 2 * 0.01, rtol=1e-6)
 
 
 @pytest.mark.parametrize("size", [1, SLICE - 1, SLICE + 1, 3 * SLICE + 7])
@@ -387,8 +385,8 @@ def test_adam_tracks_textbook_oracle(size):
     oracle = TextbookAdam(start, lr=1e-3)
     for t in range(1, 201):
         grad[:] = scale * rng.standard_normal(size)
+        oracle.step(grad)   # first: adam_step overwrites the gradient
         adam_step(value, grad, m, v, t, lr=1e-3)
-        oracle.step(grad)
     np.testing.assert_allclose(value, oracle.value, rtol=1e-12, atol=0)
 
 
