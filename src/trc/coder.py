@@ -50,8 +50,9 @@ def quantize(p) -> np.ndarray:
     cum is built in place, with no freq array: the floors are cast straight
     into cum[1:] (truncation is floor, as every p[i] > 0), accumulated, and
     raised by k for the 1s, so cum[k] = k + sum_{i<k} floor(p[i] * 65280);
-    the leftover is then added to cum[argmax + 1:]. A float32 p gives the
-    same table as its float64 copy, since widening is exact."""
+    the leftover is then added to cum[argmax + 1:]. The pipeline hands it
+    the model's float32 rows; p is widened to float64 first, which is
+    exact, so a float32 p gives the same table as its float64 copy."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (256,):
         raise ValueError(f"need 256 probabilities, got shape {p.shape}")

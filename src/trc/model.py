@@ -16,6 +16,10 @@ weight's value. The train step applies Adam there, so it holds one weight's
 gradient at a time. Everything runs in the arrays' dtype: float32 in
 production, float64 for gradient checking.
 
+A step holds one (B, 256) array, the probabilities: the coder reads its
+float32 rows, and `backward` turns it into the logit gradient. The logits
+die inside the softmax.
+
 A step holds one step's FFN activations. Its two (N, B, f) arrays, the
 pre-GELU `us` and the tanh inside each GELU `ths`, are buffers on the model
 that every forward pass of the same shape and dtype overwrites; forward runs
@@ -203,6 +207,7 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     computation, so the gradients of this path are exact. The activations are
     kept in `model.saved` for `backward`; us and ths go into `model.ffn`,
     which is allocated anew only when the lane count or the dtype changes.
+    `backward` turns the returned probabilities into the logit gradient.
     """
     cfg = model.config
     if histories.ndim != 2 or histories.shape[1] != cfg.window:
@@ -237,6 +242,10 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
         matmul(y, model.w1.value, out=us[i])
         gelu(us[i], ths[i], act)
         y = y + matmul(act, model.w2.value)
+    # The softmax takes a new array, and the logits die in it. Writing it
+    # over the logits saved 0.15 MB at 256 lanes, but there glibc then
+    # trimmed and refaulted the heap's top every step: 7,698 against 1,633
+    # minor faults in a process's first tiny-config compress.
     probs = softmax_rows(matmul(y, model.output_head.value))
     model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, y, probs)
     return probs

@@ -256,7 +256,9 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     lane order. Main-loop step s then codes byte offset s of every lane
     longer than s; lane_layout puts those lanes first, so the active lanes
     are a prefix that only shrinks. A step's histories lie before its
-    positions in the same lanes, so they are known to both sides.
+    positions in the same lanes, so they are known to both sides. Each
+    lane's byte is coded under quantize of its float32 row of the step's
+    probabilities, the array that backward later consumes.
     `shifts()` is the coder's renormalization shift count. The model is
     built only if some lane outlasts its warm-up. A float overflow or NaN
     raises FloatingPointError where it happens, which is the same operation
@@ -294,8 +296,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
         for s in range(first, last):
             pos = starts[sizes > s] + s
             probs = forward_probs(model, buf[pos[:, None] + cols])
-            # widen once per step; quantize then takes each float64 row as it is
-            for p, i in zip(probs.astype(np.float64), pos.tolist()):
+            for p, i in zip(probs, pos.tolist()):
                 code(i, quantize(p))
             e = nll_loss(probs, buf[pos])
             loss_sum += e

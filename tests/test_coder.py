@@ -66,10 +66,12 @@ def test_quantize_follows_floor_rule_with_leftover_to_argmax():
 
 
 def test_quantize_float32_equals_its_float64_copy_and_the_floor_rule():
-    # the pipeline hands quantize float64 rows widened from the model's
-    # float32; a float32 row must give the same table, and the closed-form
-    # rule, worked exactly on its values, with the lowest index winning a
-    # tied maximum
+    # the pipeline hands quantize the model's float32 rows as they are; each
+    # must give the table of its float64 copy, and the closed-form rule,
+    # worked exactly on its values, with the lowest index winning a tied
+    # maximum. The goldens pin bits only on one kernel family, so this is
+    # the pin, on any BLAS build, that float32 rows code as the widened
+    # rows did
     rng = np.random.default_rng(23)
     rows = []
     for _ in range(100):

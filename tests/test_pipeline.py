@@ -701,10 +701,11 @@ def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
     assert peak <= 1.2 * 4 * (3 * parameter_count(config) + largest + step)
 
 
-def test_quantize_is_called_once_per_main_loop_byte_on_float64_rows(monkeypatch):
+def test_quantize_is_called_once_per_main_loop_byte_on_the_steps_float32_rows(monkeypatch):
     # trc.pipeline.quantize is the seam the benchmark's tracer counts: one
-    # call per lane per main-loop step, each on one float64 row, in both
-    # directions and with lanes of uneven length
+    # call per lane per main-loop step, in both directions and with lanes
+    # of uneven length, each on one float32 row of the step's probabilities
+    # as the forward pass made them, with no widened copy
     rows = []
     real_quantize = trc.pipeline.quantize
 
@@ -721,7 +722,7 @@ def test_quantize_is_called_once_per_main_loop_byte_on_float64_rows(monkeypatch)
     assert res.metrics.warmup_bytes == 3 * SMALL.window
     for seen in (compress_rows, rows):
         assert len(seen) == len(data) - res.metrics.warmup_bytes
-        assert all(p.dtype == np.float64 and p.shape == (256,) for p in seen)
+        assert all(p.dtype == np.float32 and p.shape == (256,) for p in seen)
 
 
 def test_learnable_stream_loss_declines(monkeypatch):
