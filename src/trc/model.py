@@ -243,7 +243,7 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
         gelu(us[i], ths[i], act)
         y = y + matmul(act, model.w2.value)
     # The softmax takes a new array, and the logits die in it. Writing it
-    # over the logits saved 0.15 MB at 256 lanes, but there glibc then
+    # over the logits saved 0.15 MB at 256 lanes, but there glibc 2.36 then
     # trimmed and refaulted the heap's top every step: 7,698 against 1,633
     # minor faults in a process's first tiny-config compress.
     probs = softmax_rows(matmul(y, model.output_head.value))
