@@ -24,7 +24,7 @@ from dataclasses import asdict, fields, replace
 
 from .bench import sweep, write_csv
 from .model import ModelConfig
-from .pipeline import compress, decompress
+from .pipeline import LOSS_CACHE, compress, decompress
 
 # flag -> (ModelConfig field or compress keyword, help); each flag's default
 # is the field's default in ModelConfig() or the keyword's in compress
@@ -37,7 +37,6 @@ _FLAGS = {
     "heads": ("num_heads", "attention heads"),
     "lanes": ("lanes", "parallel coding lanes"),
     "lr": ("lr", "Adam learning rate"),
-    "cache-size": ("cache_capacity", "loss-cache capacity"),
 }
 _MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
 _AXES = {flag: name for flag, (name, _) in _FLAGS.items() if name in _MODEL_FIELDS}
@@ -50,7 +49,7 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
                        default=defaults[name], help=f"{what} (default %(default)s)")
     p.add_argument("--bp-controller", action="store_true", dest="controller",
                    default=defaults["controller"],
-                   help="gate updates on the loss-cache threshold")
+                   help=f"update only on a loss above the mean of the last {LOSS_CACHE} losses")
 
 
 def _job(args) -> tuple[ModelConfig, dict]:

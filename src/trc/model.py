@@ -113,13 +113,11 @@ def check_model(config: ModelConfig, lanes: int) -> None:
     """Raise ValueError unless hidden_dim is divisible by group_size and by
     num_heads, the model has at most MAX_PARAMETERS parameters, and a train
     step over `lanes` lanes holds at most MAX_STEP_FLOATS floats in its
-    largest arrays: four (N, B, f) FFN arrays, and the (B, c, h) window x
-    with its keys and values. Every field must already be a positive int.
-
-    A step holds two (N, B, f) arrays, us and ths (see the module
-    docstring), but the cap still counts four, as when GELU's output and
-    the pre-GELU gradient had arrays of their own: the cap decides which
-    v5 headers are legal, so it changes only with the container version."""
+    largest arrays, per lane: (2N + 1)f in us, ths and one (B, f) array;
+    2Nh in the N FFN inputs and their gradients; 8ch in x, K and V, which
+    forward keeps, and the dK and dV products, dK, dV and dx, which backward
+    makes; and 512 in the (B, 256) logits and probabilities. Every field
+    must already be a positive int."""
     h = config.hidden_dim
     for name, d in (("group_size", config.group_size), ("num_heads", config.num_heads)):
         if h % d:
@@ -128,8 +126,9 @@ def check_model(config: ModelConfig, lanes: int) -> None:
     if n > MAX_PARAMETERS:
         raise ValueError(f"model {config.label()} has {n} parameters, "
                          f"more than {MAX_PARAMETERS}")
-    n = lanes * (4 * config.shared_ffn_repeats * config.ffn_dim
-                 + 3 * config.context_len * config.hidden_dim)
+    r = config.shared_ffn_repeats
+    n = lanes * ((2 * r + 1) * config.ffn_dim + 2 * r * h
+                 + 8 * config.context_len * h + 2 * VOCAB)
     if n > MAX_STEP_FLOATS:
         raise ValueError(f"a step of model {config.label()} over {lanes} lanes "
                          f"holds {n} floats, more than {MAX_STEP_FLOATS}")

@@ -20,12 +20,13 @@ OpenBLAS 0.3.31): the paper default over 64 lanes gives the same container
 with 1 and with 2 threads, which the tests check. OpenBLAS does not promise
 this; a build whose threads split the sums inside one output would break it.
 
-Container layout, version 5 (little-endian, fixed width, 50 bytes, payload
+Container layout, version 6 (little-endian, fixed width, 48 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
-controller u8, cache u16, seed u64, original_length u64, data crc32 u32
-(of the original bytes), payload crc32 u32. The payload is the byte-wise
-range coder's output (see coder.py). unpack accepts this version only.
+controller u8, seed u64, original_length u64, data crc32 u32 (of the
+original bytes), then one crc32 u32 of the 44 bytes before it and the
+payload, which is the byte-wise range coder's output (see coder.py). unpack
+accepts this version only, and a damaged header fails its crc before replay.
 
 A header can ask only for what the decoder is able to hold: a model of at
 most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS
@@ -42,7 +43,7 @@ import struct
 import time
 import zlib
 from collections import deque
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +53,11 @@ from .model import ModelConfig, TraceModel, backward, check_model, forward_probs
 from .nn import adam_step
 
 MAGIC = b"TRCE"
-VERSION = 5
-_HEADER = struct.Struct("<4sB7HfBHQQII")
-HEADER_SIZE = _HEADER.size
+VERSION = 6
+_HEADER = struct.Struct("<4sB7HfBQQI")
+HEADER_SIZE = _HEADER.size + 4  # the fields, then the frame's crc32
 CHUNK_STEPS = 256
+LOSS_CACHE = 16
 
 
 class ContainerError(ValueError):
@@ -82,8 +84,8 @@ class ModelOverflowError(ContainerError):
     """The replayed model's float arithmetic overflowed or went NaN.
 
     compress stops with FloatingPointError at the same operation and writes
-    nothing, so only a damaged or forged header (say, a huge lr or a deep
-    shared FFN) leads here."""
+    nothing, so only a forged header that carries a correct crc (say, with a
+    huge lr or a deep shared FFN) leads here."""
 
 
 @dataclass(frozen=True)
@@ -95,26 +97,25 @@ class ContainerHeader:
     lanes: int
     lr: float
     controller_enabled: bool
-    cache_capacity: int
     seed: int
     original_length: int
     data_checksum: int
-    checksum: int
 
-    def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, VERSION, *astuple(self.config), *astuple(self)[1:])
+    def pack(self, payload: bytes) -> bytes:
+        """The whole container: header fields, frame crc32, payload."""
+        head = _HEADER.pack(MAGIC, VERSION, *astuple(self.config), *astuple(self)[1:])
+        return head + zlib.crc32(payload, zlib.crc32(head)).to_bytes(4, "little") + payload
 
     def check(self) -> None:
         """Raise ValueError unless decompress can replay this header. compress
         and unpack both call it, and no other code decides which jobs are
-        legal. Each model field, lanes and cache_capacity is an int (a bool
-        is not) in [1, 65535], the controller flag is 0 or 1, the seed is an
-        int in [0, 2^64), lr is finite and positive, and the model passes
-        check_model over the lanes that run main-loop steps: those of
-        lane_layout longer than one window."""
+        legal. Each model field and lanes is an int (a bool is not) in
+        [1, 65535], the controller flag is 0 or 1, the seed is an int in
+        [0, 2^64), lr is finite and positive, and the model passes check_model
+        over the lanes that run main-loop steps: those of lane_layout longer
+        than one window."""
         c = self.config
-        for name, v in (*asdict(c).items(), ("lanes", self.lanes),
-                        ("cache_capacity", self.cache_capacity)):
+        for name, v in (*asdict(c).items(), ("lanes", self.lanes)):
             if not _is_int_in(v, 1, 1 << 16):
                 raise ValueError(f"{name} must be an int in [1, 65535], got {v!r}")
         ctrl = self.controller_enabled
@@ -131,9 +132,10 @@ class ContainerHeader:
     def unpack(cls, blob: bytes) -> tuple["ContainerHeader", bytes]:
         """Split a container into (header, payload), checking every field.
 
-        Magic and version are rejected before anything else is trusted; a
-        header that fails check() raises ContainerError. Payload integrity
-        (checksum) is the caller's second gate."""
+        Magic, length and version come first, then the frame's crc32: any
+        damage raises ChecksumMismatchError before a field is trusted. A
+        forger can compute a crc, so a header that fails check() still
+        raises ContainerError."""
         if len(blob) >= 4 and blob[:4] != MAGIC:
             raise BadMagicError(f"not a container: magic {blob[:4]!r}")
         if len(blob) < HEADER_SIZE:
@@ -142,9 +144,12 @@ class ContainerHeader:
         _, version, *wire = _HEADER.unpack_from(blob)
         if version != VERSION:
             raise UnsupportedVersionError(f"container version {version}, expected {VERSION}")
+        payload = blob[HEADER_SIZE:]
+        crc = zlib.crc32(payload, zlib.crc32(blob[:_HEADER.size])).to_bytes(4, "little")
+        if crc != blob[_HEADER.size:HEADER_SIZE]:
+            raise ChecksumMismatchError("the container's crc32 does not match its bytes")
         k = len(fields(ModelConfig))
         header = cls(ModelConfig(*wire[:k]), *wire[k:])
-        payload = blob[HEADER_SIZE:]
         # before check(), whose lane layout needs a length that fits int64
         if header.original_length > max_symbols(len(payload)):
             raise TruncatedPayloadError(
@@ -265,7 +270,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     in both directions.
 
     With the controller on, a step updates the model only if its loss
-    exceeds the mean of the last cache_capacity losses: ties skip, and an
+    exceeds the mean of the last LOSS_CACHE losses: ties skip, and an
     empty cache updates. Every loss then enters the cache. An update counts
     the step first, then runs backward on the step's bytes, whose callback
     takes one Adam step on each weight as soon as its gradient is final, so
@@ -305,7 +310,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
                 update = not cache or e > cache_sum / len(cache)
                 cache.append(e)
                 cache_sum += e
-                if len(cache) > header.cache_capacity:
+                if len(cache) > LOSS_CACHE:
                     cache_sum -= cache.popleft()
             if update:
                 model.steps += 1
@@ -320,7 +325,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
 
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
              seed: int, lanes: int = 64, lr: float = 1e-3,
-             controller: bool = False, cache_capacity: int = 16) -> CompressResult:
+             controller: bool = False) -> CompressResult:
     """Code `data` into a self-describing container.
 
     The stored learning rate is the float32 the header can carry, and the
@@ -331,10 +336,8 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
     with np.errstate(over="ignore"):
         lr32 = float(np.float32(lr))
     header = ContainerHeader(config=config, lanes=lanes, lr=lr32,
-                             controller_enabled=controller,
-                             cache_capacity=cache_capacity, seed=seed,
-                             original_length=len(data),
-                             data_checksum=zlib.crc32(data), checksum=0)
+                             controller_enabled=controller, seed=seed,
+                             original_length=len(data), data_checksum=zlib.crc32(data))
     header.check()
     enc = Encoder()
 
@@ -344,17 +347,13 @@ def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
     metrics = _run(header, np.frombuffer(data, dtype=np.uint8), encode, enc.shifts)
     payload = enc.finish() if data else b""
     metrics.add_trailer(8 * len(payload))
-    header = replace(header, checksum=zlib.crc32(payload))
-    return CompressResult(container=header.pack() + payload, metrics=metrics)
+    return CompressResult(container=header.pack(payload), metrics=metrics)
 
 
 def decompress(container: bytes) -> DecompressResult:
-    """Invert compress: parse, verify the payload, re-seed, replay, then
+    """Invert compress: parse and verify the frame, re-seed, replay, then
     verify the decoded bytes."""
     header, payload = ContainerHeader.unpack(container)
-    if zlib.crc32(payload) != header.checksum:
-        raise ChecksumMismatchError(
-            f"payload crc {zlib.crc32(payload):08x} != header {header.checksum:08x}")
     out = np.zeros(header.original_length, dtype=np.uint8)
     dec = Decoder(payload)
 

@@ -114,12 +114,10 @@ def test_sweep_honours_the_job_flags(tmp_path):
     (tmp_path / "in.txt").write_bytes(data)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(tmp_path / "in.txt"), "--axis", "hidden=16", "--runs", "1",
-                 "--csv-out", str(out), "--bp-controller", "--cache-size", "4",
-                 *COMPRESS_FLAGS]) == 0
+                 "--csv-out", str(out), "--bp-controller", *COMPRESS_FLAGS]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
-    (rec,), _ = sweep(data, [BASE], runs=1, seed=5, lanes=3, controller=True,
-                      cache_capacity=4)
+    (rec,), _ = sweep(data, [BASE], runs=1, seed=5, lanes=3, controller=True)
     assert rec.skip_frac > 0.0
     assert (int(row["out_bytes"]), float(row["skip_frac"])) == (
         rec.out_bytes, round(rec.skip_frac, 6))

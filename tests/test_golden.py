@@ -3,15 +3,18 @@ for byte, and decompress must return its input. Any change to the format or
 to the training bits fails here first; refresh the files with
 `PYTHONPATH=src python tests/golden/regen.py` when the change is meant.
 
-Replay holds only within one numpy build and OpenBLAS kernel family, so the
-tests skip where either differs from the one recorded in PLATFORM.json."""
+Replay holds only within one numpy build and OpenBLAS kernel family, so
+those tests skip where either differs from the one recorded in
+PLATFORM.json. Parsing needs no replay: every container here must pass
+ContainerHeader.unpack under the current format version on any platform, so
+goldens left stale by a format change fail everywhere."""
 
 import json
 
 import pytest
 
 from golden.regen import CASES, HERE, PLATFORM_FILE, TINY, kernel_family
-from trc.pipeline import compress, decompress
+from trc.pipeline import ContainerHeader, compress, decompress
 
 
 def _require_recorded_platform():
@@ -20,6 +23,14 @@ def _require_recorded_platform():
     if here != recorded:
         pytest.skip(f"golden containers come from {recorded}, this is {here}; "
                     "replay holds only within one numpy build and kernel family")
+
+
+def test_every_golden_container_parses_under_the_current_version():
+    paths = sorted(HERE.glob("*.trc"))
+    assert sorted(path.stem for path in paths) == sorted(CASES)
+    for path in paths:
+        header, _ = ContainerHeader.unpack(path.read_bytes())
+        assert header.original_length == len((HERE / f"{path.stem}.in").read_bytes())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -23,8 +23,10 @@ import pytest
 from conftest import synthetic_text
 import trc
 from trc.coder import Decoder, Encoder
-from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, Weight,
-                       parameter_count, weight_shapes)
+from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, TraceModel, Weight,
+                       backward, check_model, forward_probs, nll_loss, parameter_count,
+                       weight_shapes)
+from trc.nn import adam_step
 from trc.pipeline import (
     BadMagicError,
     ChecksumMismatchError,
@@ -35,6 +37,7 @@ from trc.pipeline import (
     ModelOverflowError,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    VERSION,
     _HEADER,
     compress,
     decompress,
@@ -44,6 +47,8 @@ from trc.pipeline import (
 SMALL = ModelConfig(hidden_dim=16, ffn_dim=24, group_size=2, context_len=3,
                     shared_ffn_repeats=2, num_heads=2)  # window 6
 TINY = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)  # window 32
+ODD = ModelConfig(hidden_dim=12, ffn_dim=20, group_size=3, context_len=3,
+                  shared_ffn_repeats=2, num_heads=3)  # the golden odd-shape config
 
 
 def roundtrip(data, config=SMALL, **kw):
@@ -54,11 +59,26 @@ def roundtrip(data, config=SMALL, **kw):
     return res, out
 
 
-def reseal(container, payload):
-    """Swap in a new payload under a matching payload CRC, so it passes the
-    first integrity gate and reaches the decoder."""
-    header, _ = ContainerHeader.unpack(container)
-    return dataclasses.replace(header, checksum=zlib.crc32(payload)).pack() + payload
+def seal(blob, payload):
+    """The header fields in blob's bytes, magic and version aside, packed
+    over payload with ContainerHeader.pack: the frame's CRC then matches, so
+    a forged field or payload reaches the checks after it."""
+    _, _, *wire = _HEADER.unpack_from(blob)
+    k = len(dataclasses.fields(ModelConfig))
+    return ContainerHeader(ModelConfig(*wire[:k]), *wire[k:]).pack(payload)
+
+
+def _watch_forward_probs(monkeypatch):
+    """The list to which each later call of trc.pipeline.forward_probs appends its lane count."""
+    calls = []
+    real_forward_probs = trc.pipeline.forward_probs
+
+    def watched(model, histories):
+        calls.append(len(histories))
+        return real_forward_probs(model, histories)
+
+    monkeypatch.setattr(trc.pipeline, "forward_probs", watched)
+    return calls
 
 
 def without_wall_time(metrics):
@@ -110,14 +130,7 @@ def test_lane_layout_partition_property():
 def test_lanes_that_straddle_the_window_run_one_step(monkeypatch, length):
     # SMALL's window is 6: four lanes of 7,7,6,6 or 7,7,7,6 bytes run one
     # main-loop step, over the lanes longer than the window, in both directions
-    rows = []
-    real_forward_probs = trc.pipeline.forward_probs
-
-    def watched(model, histories):
-        rows.append(len(histories))
-        return real_forward_probs(model, histories)
-
-    monkeypatch.setattr(trc.pipeline, "forward_probs", watched)
+    rows = _watch_forward_probs(monkeypatch)
     data = synthetic_text(length, seed=length)
     res = compress(data, SMALL, seed=3, lanes=4)
     assert rows == [length - 24]
@@ -132,13 +145,14 @@ def test_lanes_that_straddle_the_window_run_one_step(monkeypatch, length):
 
 def test_header_packs_to_fixed_size_and_roundtrips():
     header = ContainerHeader(config=SMALL, lanes=4, lr=float(np.float32(0.001)),
-                             controller_enabled=True, cache_capacity=16,
-                             seed=0xDEADBEEFCAFE, original_length=123456,
-                             data_checksum=0x55667788, checksum=0x11223344)
-    blob = header.pack()
-    assert len(blob) == HEADER_SIZE == 50
-    assert blob[:4] == MAGIC
-    parsed, payload = ContainerHeader.unpack(blob + b"xyz" * 1000)
+                             controller_enabled=True, seed=0xDEADBEEFCAFE,
+                             original_length=123456, data_checksum=0x55667788)
+    blob = header.pack(b"xyz" * 1000)
+    assert HEADER_SIZE == 48
+    assert blob[:5] == MAGIC + bytes([VERSION]) and VERSION == 6
+    # one CRC-32 seals the 44 bytes before it and the payload after it
+    assert blob[44:48] == zlib.crc32(blob[:44] + blob[48:]).to_bytes(4, "little")
+    parsed, payload = ContainerHeader.unpack(blob)
     assert parsed == header
     assert payload == b"xyz" * 1000
 
@@ -159,28 +173,30 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    for version in (1, 2, 3, 4, 99):
+    for version in (1, 2, 3, 4, 5, 99):
         good[4] = version
         with pytest.raises(UnsupportedVersionError):
             decompress(bytes(good))
 
 
-_FIELD = {"hidden": 2, "group": 4, "lanes": 8, "lr": 9, "controller": 10,
-          "cache": 11, "length": 13}
+_FIELD = {"hidden": 2, "group": 4, "lanes": 8, "lr": 9, "controller": 10, "length": 12}
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lanes", 0), ("cache", 0), ("hidden", 0), ("hidden", 15), ("group", 0),
+    ("lanes", 0), ("hidden", 0), ("hidden", 15), ("group", 0),
     ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
     ("controller", 2), ("length", 1 << 62), ("length", 80_000),
     ("hidden", 65534),  # a valid shape of about 1.7e10 parameters
 ])
 def test_unpack_rejects_bad_header_fields(field, value):
+    # sealed under a matching CRC, the forged field reaches the check that
+    # refuses it: the payload bound for a length, check() for the rest
     good = compress(b"hello world", SMALL, seed=1, lanes=2).container
     fields = list(_HEADER.unpack_from(good))
     fields[_FIELD[field]] = value
-    with pytest.raises(ContainerError):
-        decompress(_HEADER.pack(*fields) + good[HEADER_SIZE:])
+    with pytest.raises(ContainerError) as exc:
+        decompress(seal(_HEADER.pack(*fields), good[HEADER_SIZE:]))
+    assert exc.type is (TruncatedPayloadError if field == "length" else ContainerError)
 
 
 # A one-byte window and a 65535-wide FFN over 65535 two-byte lanes: about
@@ -192,12 +208,12 @@ WIDE_STEP = ModelConfig(hidden_dim=1, ffn_dim=65535, group_size=1, context_len=1
 def test_step_size_is_bounded_from_the_header():
     length = 2 * 65535
     assert parameter_count(WIDE_STEP) < MAX_PARAMETERS
-    assert 65535 * 4 * 65535 > MAX_STEP_FLOATS
+    assert 65535 * 3 * 65535 > MAX_STEP_FLOATS
     header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
-                             controller_enabled=False, cache_capacity=16, seed=0,
-                             original_length=length, data_checksum=0, checksum=0)
+                             controller_enabled=False, seed=0,
+                             original_length=length, data_checksum=0)
     with pytest.raises(ContainerError, match="floats"):
-        ContainerHeader.unpack(header.pack() + bytes(70_000))
+        ContainerHeader.unpack(header.pack(bytes(70_000)))
     with pytest.raises(ValueError, match="floats"):
         compress(bytes(length), WIDE_STEP, seed=0, lanes=65535)
     # the same header over fewer lanes, and the paper default at 64 lanes
@@ -205,34 +221,76 @@ def test_step_size_is_bounded_from_the_header():
     for config, lanes in ((WIDE_STEP, 64), (ModelConfig(), 64)):
         ok = dataclasses.replace(header, config=config, lanes=lanes,
                                  original_length=1 << 20)
-        assert ContainerHeader.unpack(ok.pack() + bytes(1 << 18))[0] == ok
+        assert ContainerHeader.unpack(ok.pack(bytes(1 << 18)))[0] == ok
 
 
-@pytest.mark.parametrize("active", [1024, 1025])
+@pytest.mark.parametrize("active", [1361, 1362])
 def test_step_size_counts_only_the_lanes_that_run_steps(active):
-    # Over 65535 lanes, WIDE_STEP holds 262,143 floats per active lane, so
-    # 1,024 lanes of two bytes (the rest one, within the window) fit
-    # MAX_STEP_FLOATS and 1,025 do not.
-    assert 1024 * 262_143 <= MAX_STEP_FLOATS < 1025 * 262_143
+    # Over 65535 lanes, WIDE_STEP holds 3f + 2h + 8ch + 512 = 197,127 floats
+    # per active lane, so 1,361 lanes of two bytes (the rest one, within the
+    # window) fit MAX_STEP_FLOATS and 1,362 do not. The header that fits is
+    # only unpacked: sealed under a matching CRC, its decode would replay.
+    assert 1361 * 197_127 <= MAX_STEP_FLOATS < 1362 * 197_127
     header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
-                             controller_enabled=False, cache_capacity=16, seed=0,
-                             original_length=65535 + active, data_checksum=0, checksum=0)
-    container = header.pack() + bytes(100)
-    if active == 1024:
+                             controller_enabled=False, seed=0,
+                             original_length=65535 + active, data_checksum=0)
+    container = header.pack(bytes(100))
+    if active == 1361:
         assert ContainerHeader.unpack(container)[0] == header
-        with pytest.raises(ChecksumMismatchError):
-            decompress(container)
     else:
-        with pytest.raises(ContainerError, match="over 1025 lanes"):
+        with pytest.raises(ContainerError, match="over 1362 lanes"):
             decompress(container)
+
+
+def _step_peak(config, lanes):
+    """tracemalloc's peak over one forward pass, loss and backward with
+    Adam over `lanes` lanes of a freshly built model."""
+    model = TraceModel(config, seed=1)
+    rng = np.random.default_rng(lanes)
+    histories = rng.integers(0, 256, (lanes, config.window), dtype=np.uint8)
+    targets = rng.integers(0, 256, lanes, dtype=np.uint8)
+
+    def update_weight(w, grad):
+        adam_step(w.value, grad, w.m, w.v, model.steps, 1e-3)
+
+    tracemalloc.start()
+    try:
+        nll_loss(forward_probs(model, histories), targets)
+        model.steps += 1
+        backward(model, targets, update_weight)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("config", [TINY, ODD], ids=["tiny", "odd-shape"])
+def test_step_cap_counts_at_least_what_a_step_holds(config):
+    # The peak's growth from 64 to 128 lanes is what a step holds per lane,
+    # in float32s. The cap refuses the first lane count at which that passes
+    # MAX_STEP_FLOATS, and it passes one at which 1.25 times that fits.
+    slope = (_step_peak(config, 128) - _step_peak(config, 64)) / 64 / 4
+    with pytest.raises(ValueError, match="floats"):
+        check_model(config, MAX_STEP_FLOATS // math.floor(slope) + 1)
+    check_model(config, int(MAX_STEP_FLOATS // (1.25 * slope)))
+
+
+def test_the_shared_ffn_inputs_count_towards_the_step_cap():
+    # 65535 applications of a 2048-wide FFN input with one hidden unit keep
+    # 2 x 65535 x 2048 floats per lane in ys and dys, past the cap alone
+    deep = ModelConfig(hidden_dim=2048, ffn_dim=1, group_size=1, context_len=1,
+                       shared_ffn_repeats=65535, num_heads=1)
+    assert parameter_count(deep) < MAX_PARAMETERS
+    header = ContainerHeader(config=deep, lanes=1, lr=0.5, controller_enabled=False,
+                             seed=0, original_length=2, data_checksum=0)
+    with pytest.raises(ContainerError, match="over 1 lanes"):
+        ContainerHeader.unpack(header.pack(bytes(8)))
 
 
 def test_a_length_past_int64_is_refused_before_the_lane_layout():
     header = ContainerHeader(config=SMALL, lanes=1, lr=0.5, controller_enabled=False,
-                             cache_capacity=16, seed=0, original_length=(1 << 64) - 1,
-                             data_checksum=0, checksum=0)
+                             seed=0, original_length=(1 << 64) - 1, data_checksum=0)
     with pytest.raises(TruncatedPayloadError):
-        decompress(header.pack() + bytes(8))
+        decompress(header.pack(bytes(8)))
 
 
 def test_unpack_rejects_truncated_container():
@@ -243,7 +301,7 @@ def test_unpack_rejects_truncated_container():
         decompress(b"TR")
     cut = compress(synthetic_text(600, seed=8), SMALL, seed=1, lanes=4).container
     with pytest.raises(TruncatedPayloadError):
-        decompress(reseal(cut, cut[HEADER_SIZE:(HEADER_SIZE + len(cut)) // 2]))
+        decompress(seal(cut, cut[HEADER_SIZE:(HEADER_SIZE + len(cut)) // 2]))
 
 
 def test_payload_bit_flip_fails_checksum():
@@ -254,7 +312,7 @@ def test_payload_bit_flip_fails_checksum():
 
 
 def test_payload_bit_flips_never_decode_to_wrong_bytes():
-    # Flips under a resealed payload CRC stand in for any encoder/decoder
+    # Flips sealed under a matching CRC stand in for any encoder/decoder
     # divergence: each must give back the input or raise ContainerError.
     data = synthetic_text(600, seed=8)
     good = compress(data, SMALL, seed=1, lanes=8, controller=True).container
@@ -264,7 +322,7 @@ def test_payload_bit_flips_never_decode_to_wrong_bytes():
         bad = bytearray(payload)
         bad[bit // 8] ^= 0x80 >> (bit % 8)
         try:
-            out = decompress(reseal(good, bytes(bad)))
+            out = decompress(seal(good, bytes(bad)))
         except ContainerError as exc:
             kinds.add(type(exc))
         else:
@@ -283,29 +341,57 @@ def _decode_outcome(container, data):
     return None
 
 
-def test_header_mutations_and_truncations_never_decode_to_wrong_bytes():
-    # Every header byte XORed with 0x01 and with 0xFF, the container cut at
-    # every header offset, and cut at 10 payload offsets both as is and under
-    # a resealed payload CRC. Legal but costly headers are kept: ffn
-    # 64 ^ 0xFF00 = 65344 builds a 4.2M-parameter model and runs about 3 s,
-    # and shared_ffn_repeats 253 or 258 overflows float32 within a step.
+def test_header_mutations_and_truncations_never_decode_to_wrong_bytes(monkeypatch):
+    # Every header byte XORed with 0x01 and with 0xFF fails before any
+    # replay: at magic, at version, or at the frame's CRC. Each such header,
+    # sealed again, must decode to the input or raise ContainerError, as must
+    # the container cut at every header offset, and cut at 10 payload
+    # offsets both as is and sealed again. Legal but costly sealed headers
+    # are kept: ffn 64 ^ 0xFF00 = 65344 builds a 4.2M-parameter model and
+    # runs about 3 s, and shared_ffn_repeats 253 or 258 overflows float32
+    # within a step.
     data = synthetic_text(600, seed=8)
     good = compress(data, TINY, seed=1, lanes=4, controller=True).container
     payload = good[HEADER_SIZE:]
+    calls = _watch_forward_probs(monkeypatch)
     kinds = set()
     for i in range(HEADER_SIZE):
         for mask in (0x01, 0xFF):
             bad = bytearray(good)
             bad[i] ^= mask
-            kinds.add(_decode_outcome(bytes(bad), data))
+            kind = _decode_outcome(bytes(bad), data)
+            assert kind is (BadMagicError if i < 4 else UnsupportedVersionError if i == 4
+                            else ChecksumMismatchError)
+            assert calls == []
+            kinds.add(kind)
+            kinds.add(_decode_outcome(seal(bytes(bad), payload), data))
+            calls.clear()
     for cut in range(HEADER_SIZE):
         kinds.add(_decode_outcome(good[:cut], data))
     for cut in np.linspace(0, len(payload) - 1, 10).astype(int).tolist():
         kinds.add(_decode_outcome(good[:HEADER_SIZE + cut], data))
-        kinds.add(_decode_outcome(reseal(good, payload[:cut]), data))
+        kinds.add(_decode_outcome(seal(good, payload[:cut]), data))
     assert kinds - {None} == {BadMagicError, UnsupportedVersionError, ContainerError,
                               ChecksumMismatchError, TruncatedPayloadError,
                               ModelOverflowError}
+
+
+@pytest.mark.parametrize("offset, field", [(19, 9), (24, 11)], ids=["lr", "seed"])
+def test_a_damaged_header_fails_before_replay(monkeypatch, offset, field):
+    # one byte of the f32 lr at bytes 19-22, or of the u64 seed at 24-31,
+    # of a container whose four lanes each run past their 32-byte window
+    data = synthetic_text(600, seed=8)
+    good = compress(data, TINY, seed=1, lanes=4).container
+    bad = bytearray(good)
+    bad[offset] ^= 0x01
+    changed = [a != b for a, b in zip(_HEADER.unpack_from(good), _HEADER.unpack_from(bad))]
+    assert changed.index(True) == field and changed.count(True) == 1
+    calls = _watch_forward_probs(monkeypatch)
+    with pytest.raises(ChecksumMismatchError):
+        decompress(bytes(bad))
+    assert calls == []
+    assert decompress(good).data == data
+    assert calls
 
 
 def test_compress_refuses_a_job_that_overflows_float32():
@@ -361,7 +447,7 @@ def test_roundtrip_random_binary():
 
 def test_roundtrip_text_with_controller():
     data = synthetic_text(3000, seed=5)
-    res, out = roundtrip(data, lanes=6, controller=True, cache_capacity=8)
+    res, out = roundtrip(data, lanes=6, controller=True)
     assert out.data == data
     assert res.stats.decisions > 0
     assert 0 <= res.stats.skipped <= res.stats.decisions
@@ -461,10 +547,6 @@ def test_replay_is_bit_identical_across_blas_thread_counts():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
-
-
-ODD = ModelConfig(hidden_dim=12, ffn_dim=20, group_size=3, context_len=3,
-                  shared_ffn_repeats=2, num_heads=3)  # the golden odd-shape config
 
 
 def _at_shift(a, shift):
@@ -639,6 +721,7 @@ def test_gate_updates_iff_loss_beats_the_cache_mean(monkeypatch, capacity, losse
     # scripted losses drive the gate, and backward forms the real gradient
     # from the step's bytes.
     monkeypatch.setattr(trc.pipeline, "CHUNK_STEPS", 1)
+    monkeypatch.setattr(trc.pipeline, "LOSS_CACHE", capacity)
     script = iter(losses)
 
     def scripted(probs, targets):
@@ -646,7 +729,7 @@ def test_gate_updates_iff_loss_beats_the_cache_mean(monkeypatch, capacity, losse
 
     monkeypatch.setattr(trc.pipeline, "nll_loss", scripted)
     data = synthetic_text(EDGE.window + len(losses), seed=len(losses))
-    res = compress(data, EDGE, seed=1, lanes=1, controller=True, cache_capacity=capacity)
+    res = compress(data, EDGE, seed=1, lanes=1, controller=True)
     decisions = [c.skip_count == 0 for c in res.metrics.chunks]
     assert decisions == _fresh_mean_gate(losses, capacity)
     assert (res.stats.decisions, res.stats.skipped) == (len(losses), decisions.count(False))
@@ -759,8 +842,6 @@ def test_compress_rejects_bad_arguments():
         compress(b"x", SMALL, seed=-1)
     with pytest.raises(ValueError):
         compress(b"x", SMALL, seed=1 << 64)
-    with pytest.raises(ValueError):
-        compress(b"x", SMALL, seed=1, cache_capacity=0)
 
 
 def test_compress_rejects_model_over_the_size_cap():
@@ -780,7 +861,7 @@ def test_compress_rejects_lr_that_vanishes_in_float32():
 EDGE = ModelConfig(hidden_dim=2, ffn_dim=2, group_size=1, context_len=2,
                    shared_ffn_repeats=1, num_heads=1)
 _U16 = ("hidden_dim", "ffn_dim", "group_size", "context_len", "shared_ffn_repeats",
-        "num_heads", "lanes", "cache_capacity")
+        "num_heads", "lanes")
 
 
 @pytest.mark.parametrize("data", [b"", b"ab", b"abcdefgh"], ids=["empty", "warmup", "main"])
