@@ -37,6 +37,7 @@ _FLAGS = {
     "heads": ("num_heads", "attention heads"),
     "lanes": ("lanes", "parallel coding lanes"),
     "lr": ("lr", "Adam learning rate"),
+    "seed": ("seed", "model init seed, stored in the container"),
 }
 _MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
 _AXES = {flag: name for flag, (name, _) in _FLAGS.items() if name in _MODEL_FIELDS}
@@ -53,9 +54,9 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _job(args) -> tuple[ModelConfig, dict]:
-    """The model config and compress's keyword arguments, seed included."""
+    """The model config and compress's keyword arguments."""
     config = ModelConfig(**{name: getattr(args, name) for name in _MODEL_FIELDS})
-    return config, {name: getattr(args, name) for name in ("seed", *compress.__kwdefaults__)}
+    return config, {name: getattr(args, name) for name in compress.__kwdefaults__}
 
 
 def _write_metrics(path: str, metrics) -> None:
@@ -133,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a file into a container")
     p.add_argument("infile")
     p.add_argument("outfile")
-    p.add_argument("--seed", type=int, required=True,
-                   help="model init seed, stored in the container")
     _add_job_flags(p)
     p.add_argument("--metrics-out", dest="metrics_out", default=None,
                    help="write the per-chunk trace CSV here, before the container")
@@ -157,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "parameters among those that ran (the first on a tie); "
                         "trc.bench.lcr gives it against any other row from the cr "
                         "and ms_per_mb columns")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=sweep.__kwdefaults__["runs"],
                    help="timing repetitions (default %(default)s)")
     p.add_argument("--csv-out", dest="csv_out", default="sweep.csv")

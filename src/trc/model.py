@@ -10,31 +10,29 @@ Each weight owns three arrays of its shape: its value and Adam's two
 moments. The graph and its loss are fixed, so the backward is written out
 by hand: `forward_probs` keeps the activations `backward` needs on the
 model, `nll_loss` gives the loss alone, and `backward` takes the targets,
-forms the logit gradient in the saved probabilities, and hands each weight's
-gradient, in a fresh array, to a callback as soon as it no longer reads that
-weight's value. The train step applies Adam there, so it holds one weight's
-gradient at a time. Everything runs in the arrays' dtype: float32 in
-production, float64 for gradient checking.
+forms the logit gradient in the step's probabilities, and hands each weight's
+gradient to a callback as soon as it no longer reads that weight's value.
+The train step applies Adam there. Everything runs in the arrays' dtype:
+float32 in production, float64 for gradient checking.
 
-A step holds one (B, 256) array, the probabilities: the coder reads its
-float32 rows, and `backward` turns it into the logit gradient. The logits
-die inside the softmax.
-
-A step holds one step's FFN activations. Its two (N, B, f) arrays, the
-pre-GELU `us` and the tanh inside each GELU `ths`, are buffers on the model
-that every forward pass of the same shape and dtype overwrites; forward runs
-the N applications through one (B, f) array and keeps no GELU output.
-`backward` consumes them: once it has read `us[i]` and `ths[i]`, it
-rebuilds that application's GELU output into `ths[i]` with `gelu_from_tanh`,
-the passes `gelu` itself ends with, so the bits are the forward's, and
-writes the pre-GELU gradient over `us[i]`. A second `backward` on one
-forward pass raises ValueError.
+`step_shapes` is the one table of the arrays a train step holds, and
+`check_model` sums it. The model keeps one flat buffer per entry, allocated
+anew only for more lanes or another dtype, so after the first step no step
+frees an array of its own size. Forward writes every step-sized result into
+views of the buffers' fronts with `out=`, and keeps no GELU output: the
+(N, B, f) `us` and `ths` hold the pre-GELU values and the tanh inside each
+GELU. Backward writes each gradient over an activation it has read for the
+last time (step_shapes says which), rebuilds GELU's output over `ths` with
+`gelu_from_tanh`, the passes `gelu` itself ends with, so the bits are the
+forward's, and hands every weight's gradient over in the one `grad` buffer.
+A second `backward` on one forward pass raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,12 +51,13 @@ from .nn import (
 
 VOCAB = 256
 # Largest model a container may ask for: 64M scalars, 256 MB in float32, so
-# at most 1 GB for the values, both moments and the largest weight's gradient.
-# The paper default has 2,443,264.
+# at most 768 MB for the values and both moments. The paper default has
+# 2,443,264.
 MAX_PARAMETERS = 1 << 26
-# Most floats a train step may hold in activations and their gradients: 1 GB
-# in float32, as for the parameters. The paper default at 64 lanes holds
-# about 2.5M.
+# Most floats a train step may hold, as check_model counts them: its
+# step_shapes arrays, the largest weight's gradient among them, and its
+# temporaries. 1 GB in float32, as for the parameters. The paper default at
+# 64 lanes holds about 3.2M.
 MAX_STEP_FLOATS = 1 << 28
 
 
@@ -109,15 +108,45 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(a * b for a, b in weight_shapes(config).values())
 
 
+def step_shapes(config: ModelConfig, lanes: int) -> dict[str, tuple[int, ...]]:
+    """Every array a train step over `lanes` lanes holds, by name, in the
+    shape the model keeps it. Backward writes gradients over forward's
+    activations once it has read them for the last time.
+
+    - x (B, c, h): the embedded window; dx is its gradient.
+    - k and v (B*c, h): keys and values. Backward puts dK and dV over them,
+      then dV W_V^T over dK, and the embedding gradient's sorted rows over dV.
+    - q, merged and y (B, h): the last position's query, its heads
+      concatenated, and the head's input. Backward puts the merged heads'
+      gradient and then dQ over merged, and dy over y.
+    - att (B, H, 1, c): the attention weights.
+    - ys and dys (N, B, h): the input of each FFN application, and its
+      gradient.
+    - us and ths (N, B, f): the pre-GELU values and the tanh inside each
+      GELU. Backward puts the pre-GELU gradient over us and GELU's output
+      over ths.
+    - act (B, f): one application's GELU output, then backward's du.
+    - probs (B, 256): the probabilities, then the logit gradient.
+    - grad: one weight's gradient, of the largest weight's size.
+    """
+    b, h, c, f = lanes, config.hidden_dim, config.context_len, config.ffn_dim
+    n = config.shared_ffn_repeats
+    return {"x": (b, c, h), "k": (b * c, h), "v": (b * c, h), "q": (b, h), "merged": (b, h),
+            "y": (b, h), "att": (b, config.num_heads, 1, c), "ys": (n, b, h), "dys": (n, b, h),
+            "us": (n, b, f), "ths": (n, b, f), "act": (b, f), "probs": (b, VOCAB),
+            "dx": (b, c, h), "grad": (max(i * o for i, o in weight_shapes(config).values()),)}
+
+
 def check_model(config: ModelConfig, lanes: int) -> None:
     """Raise ValueError unless hidden_dim is divisible by group_size and by
     num_heads, the model has at most MAX_PARAMETERS parameters, and a train
-    step over `lanes` lanes holds at most MAX_STEP_FLOATS floats in its
-    largest arrays, per lane: (2N + 1)f in us, ths and one (B, f) array;
-    2Nh in the N FFN inputs and their gradients; 8ch in x, K and V, which
-    forward keeps, and the dK and dV products, dK, dV and dx, which backward
-    makes; and 512 in the (B, 256) logits and probabilities. Every field
-    must already be a positive int."""
+    step over `lanes` lanes holds at most MAX_STEP_FLOATS floats: the arrays
+    of step_shapes, and per lane 8h + 3Hc + 4cg for the temporaries that are
+    no entry of it: (B, h) products and gelu_backward's scratch, (B, H, c)
+    scores, and the int64 indices and sort keys of the byte windows. A
+    temporary counted as an entry would be allocated on the model and grow
+    the very count it has to cover. Every field must already be a positive
+    int."""
     h = config.hidden_dim
     for name, d in (("group_size", config.group_size), ("num_heads", config.num_heads)):
         if h % d:
@@ -126,35 +155,11 @@ def check_model(config: ModelConfig, lanes: int) -> None:
     if n > MAX_PARAMETERS:
         raise ValueError(f"model {config.label()} has {n} parameters, "
                          f"more than {MAX_PARAMETERS}")
-    r = config.shared_ffn_repeats
-    n = lanes * ((2 * r + 1) * config.ffn_dim + 2 * r * h
-                 + 8 * config.context_len * h + 2 * VOCAB)
+    n = sum(math.prod(shape) for shape in step_shapes(config, lanes).values())
+    n += lanes * (8 * h + 3 * config.num_heads * config.context_len + 4 * config.window)
     if n > MAX_STEP_FLOATS:
         raise ValueError(f"a step of model {config.label()} over {lanes} lanes "
                          f"holds {n} floats, more than {MAX_STEP_FLOATS}")
-
-
-class _Saved(NamedTuple):
-    """What one forward_probs call leaves for backward; shapes for B lanes.
-
-    us and ths are views of the model's FFN buffers. backward overwrites
-    them and probs, and leaves a copy of this record with the three set to
-    None, so it runs once. The rest stays on the model until the next
-    forward pass replaces it, which keeps the heap from shrinking and
-    regrowing between steps."""
-
-    histories: np.ndarray  # (B, c*g) byte indices
-    x: np.ndarray          # (B, c, h) embedded window
-    q: np.ndarray          # (B, H, 1, hk) last-position query
-    kt: np.ndarray         # (B, H, hk, c) keys
-    vt: np.ndarray         # (B, H, c, hk) values
-    att: np.ndarray        # (B, H, 1, c) attention weights
-    merged: np.ndarray     # (B, h) heads concatenated, before W_O
-    ys: np.ndarray         # (N, B, h) input of each FFN application
-    us: np.ndarray         # (N, B, f) pre-GELU
-    ths: np.ndarray        # (N, B, f) the tanh inside each GELU
-    y: np.ndarray          # (B, h) input of the head
-    probs: np.ndarray      # (B, 256)
 
 
 class Weight(NamedTuple):
@@ -166,22 +171,23 @@ class Weight(NamedTuple):
 
 
 class TraceModel:
-    """All trainable state, the config that shaped it, and the activations
-    of the last forward pass.
+    """All trainable state, the config that shaped it, and the buffers a
+    train step works in.
 
     Each weight named in weight_shapes is a Weight attribute; steps counts
-    the Adam steps taken; ffn is the (2, N, B, f) array that holds us and ths
-    of the last forward pass. Weights are Glorot-uniform: a weight whose
+    the Adam steps taken; buffers holds one flat array per step_shapes
+    entry, allocated anew only for more lanes or another dtype; step is the
+    last forward pass, its views of the buffers and its histories, until
+    backward consumes it. Weights are Glorot-uniform: a weight whose
     predecessors in weight_shapes hold lo scalars takes draws lo, lo+1, ...
     of one SplitMix64 stream, so (config, seed) fully determines the model.
     """
 
-    __slots__ = ("config", "steps", "saved", "ffn", *weight_shapes(ModelConfig()))
+    __slots__ = ("config", "steps", "buffers", "step", *weight_shapes(ModelConfig()))
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.saved = self.ffn = None
-        self.steps = 0
+        self.buffers, self.step, self.steps = {}, None, 0
         lo = 0
         for name, (fan_in, fan_out) in weight_shapes(config).items():
             n = fan_in * fan_out
@@ -197,16 +203,30 @@ class TraceModel:
             lo += n
 
 
+def _step_views(model: TraceModel, histories: np.ndarray) -> SimpleNamespace:
+    """A step over these histories: every step_shapes entry as a view of the
+    front of its buffer, in the weights' dtype, and the histories."""
+    dtype = model.byte_embedding.value.dtype
+    s = SimpleNamespace(histories=histories)
+    for name, shape in step_shapes(model.config, len(histories)).items():
+        size = math.prod(shape)
+        buf = model.buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = model.buffers[name] = np.empty(size, dtype=dtype)
+        setattr(s, name, buf[:size].reshape(shape))
+    return s
+
+
 def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     """Batched production path: (B, c*g) byte windows -> (B, 256) probabilities.
 
     Only the last position ever reaches the output head, so Q, the FFN stack,
     and the head are evaluated for that position alone; K and V still span all
     c positions. Dropped positions carry zero gradient in the full
-    computation, so the gradients of this path are exact. The activations are
-    kept in `model.saved` for `backward`; us and ths go into `model.ffn`,
-    which is allocated anew only when the lane count or the dtype changes.
-    `backward` turns the returned probabilities into the logit gradient.
+    computation, so the gradients of this path are exact. Every step-sized
+    result goes into the model's buffers, and model.step keeps the views for
+    `backward`, which turns the returned probabilities, a view too, into the
+    logit gradient.
     """
     cfg = model.config
     if histories.ndim != 2 or histories.shape[1] != cfg.window:
@@ -214,40 +234,35 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     b = histories.shape[0]
     c, h, heads, n = cfg.context_len, cfg.hidden_dim, cfg.num_heads, cfg.shared_ffn_repeats
     hk = h // heads
+    model.step = None
+    s = _step_views(model, histories)
 
-    x = gather_rows(model.byte_embedding.value, histories).reshape(b, c, h)
+    x = s.x
+    gather_rows(model.byte_embedding.value, histories, x.reshape(b, cfg.window, -1))
     x += model.positional_embedding.value
 
     x2 = x.reshape(b * c, h)
-    kt = matmul(x2, model.wk.value).reshape(b, c, heads, hk).transpose(0, 2, 3, 1)
-    vt = matmul(x2, model.wv.value).reshape(b, c, heads, hk).transpose(0, 2, 1, 3)
+    matmul(x2, model.wk.value, s.k)
+    matmul(x2, model.wv.value, s.v)
+    s.kt = s.k.reshape(b, c, heads, hk).transpose(0, 2, 3, 1)     # (B, H, hk, c)
+    s.vt = s.v.reshape(b, c, heads, hk).transpose(0, 2, 1, 3)     # (B, H, c, hk)
     x_last = x[:, -1]
-    q = matmul(x_last, model.wq.value).reshape(b, heads, 1, hk)
-    scores = matmul(q, kt)
-    scores *= 1.0 / math.sqrt(hk)
-    att = softmax_rows(scores)                                   # (B, H, 1, c)
-    merged = matmul(att, vt).reshape(b, h)
-    y = matmul(merged, model.wo.value)
+    q = matmul(x_last, model.wq.value, s.q).reshape(b, heads, 1, hk)
+    matmul(q, s.kt, s.att)
+    s.att *= 1.0 / math.sqrt(hk)
+    softmax_rows(s.att, s.att)
+    matmul(s.att, s.vt, s.merged.reshape(b, heads, 1, hk))
+    y = matmul(s.merged, model.wo.value, s.y)
     y += x_last
 
-    ys = np.empty((n, b, h), dtype=y.dtype)
-    shape = (2, n, b, cfg.ffn_dim)
-    if model.ffn is None or model.ffn.shape != shape or model.ffn.dtype != y.dtype:
-        model.ffn = np.empty(shape, dtype=y.dtype)
-    us, ths = model.ffn
-    act = np.empty((b, cfg.ffn_dim), dtype=y.dtype)
     for i in range(n):
-        ys[i] = y
-        matmul(y, model.w1.value, out=us[i])
-        gelu(us[i], ths[i], act)
-        y = y + matmul(act, model.w2.value)
-    # The softmax takes a new array, and the logits die in it. Writing it
-    # over the logits saved 0.15 MB at 256 lanes, but there glibc 2.36 then
-    # trimmed and refaulted the heap's top every step: 7,698 against 1,633
-    # minor faults in a process's first tiny-config compress.
-    probs = softmax_rows(matmul(y, model.output_head.value))
-    model.saved = _Saved(histories, x, q, kt, vt, att, merged, ys, us, ths, y, probs)
-    return probs
+        s.ys[i] = y
+        matmul(y, model.w1.value, s.us[i])
+        gelu(s.us[i], s.ths[i], s.act)
+        y += matmul(s.act, model.w2.value)
+    softmax_rows(matmul(y, model.output_head.value, s.probs), s.probs)
+    model.step = s
+    return s.probs
 
 
 def nll_loss(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -259,73 +274,78 @@ def backward(model: TraceModel, targets: np.ndarray,
              apply: Callable[[Weight, np.ndarray], None]) -> None:
     """Compute d(nll_loss)/d(parameter) for every weight at the last
     forward_probs call and its B targets, and hand each to
-    `apply(weight, grad)` in a fresh array of the weight's shape.
+    `apply(weight, grad)`.
 
-    Each weight is handed over once, right after backward's last read of
-    its value, so `apply` may update the value in place. The order is
-    output_head, w2, w1, wo, wq, wk, wv, positional_embedding and
-    byte_embedding. Backward consumes the forward pass's FFN activations
-    and its probabilities, which become the logit gradient
-    (probs - onehot) / B, so a second call before the next forward pass
-    raises ValueError, as do targets for another lane count."""
-    s = model.saved
-    if s is None or s.us is None:
+    grad is a view, in the weight's shape, of the model's one gradient
+    buffer: it stays valid until apply returns, and apply may overwrite it;
+    an apply that keeps it must copy it. Each weight is handed over once,
+    right after backward's last read of its value, so `apply` may update the
+    value in place. The order is output_head, w2, w1, wo, wq, wk, wv,
+    positional_embedding and byte_embedding. Backward writes gradients over
+    the forward pass's activations, its probabilities becoming the logit
+    gradient (probs - onehot) / B, and consumes model.step, so a second call
+    before the next forward pass raises ValueError, as do targets for
+    another lane count."""
+    s = model.step
+    if s is None:
         raise ValueError("no forward pass to run backward on: none ran, "
                          "or backward already consumed the last one")
     b, c, h = s.x.shape
     if np.shape(targets) != (b,):
         raise ValueError(f"targets of shape {np.shape(targets)} do not match "
                          f"the last forward pass's {b} lanes")
-    model.saved = s._replace(us=None, ths=None, probs=None)
-    cfg = model.config
-    heads, ffn = cfg.num_heads, cfg.ffn_dim
+    model.step = None
+    heads, ffn = model.config.num_heads, model.config.ffn_dim
     hk = h // heads
 
-    # head
+    def grad(w: Weight) -> np.ndarray:
+        return s.grad[:w.value.size].reshape(w.value.shape)
+
+    # head; dy takes the place of y once y has given the head's gradient
     dlogits = s.probs
     dlogits[np.arange(b), targets] -= 1.0
     dlogits /= b
-    dy = dlogits @ model.output_head.value.T
-    apply(model.output_head, s.y.T @ dlogits)
+    g = np.matmul(s.y.T, dlogits, out=grad(model.output_head))
+    dy = np.matmul(dlogits, model.output_head.value.T, out=s.y)
+    apply(model.output_head, g)
 
     # shared FFN, last application first: y_{i+1} = y_i + gelu(y_i W1) W2.
     # Once gelu_backward has read us[i] and ths[i], ths[i] takes GELU's
     # output back and us[i] the pre-GELU gradient du.
-    dys = np.empty_like(s.ys)
-    du = np.empty(s.us.shape[1:], dtype=s.us.dtype)
-    for i in reversed(range(cfg.shared_ffn_repeats)):
-        dys[i] = dy
+    us, ths, du = s.us, s.ths, s.act
+    for i in reversed(range(len(us))):
+        s.dys[i] = dy
         np.matmul(dy, model.w2.value.T, out=du)
-        gelu_backward(s.us[i], s.ths[i], du)
-        gelu_from_tanh(s.us[i], s.ths[i], s.ths[i])
-        s.us[i] = du
-        dy = dy + du @ model.w1.value.T
-    apply(model.w2, s.ths.reshape(-1, ffn).T @ dys.reshape(-1, h))
-    apply(model.w1, s.ys.reshape(-1, h).T @ s.us.reshape(-1, ffn))
+        gelu_backward(us[i], ths[i], du)
+        gelu_from_tanh(us[i], ths[i], ths[i])
+        us[i] = du
+        dy += du @ model.w1.value.T
+    apply(model.w2, np.matmul(ths.reshape(-1, ffn).T, s.dys.reshape(-1, h), out=grad(model.w2)))
+    apply(model.w1, np.matmul(s.ys.reshape(-1, h).T, us.reshape(-1, ffn), out=grad(model.w1)))
 
-    # attention of the last position: y = merged W_O + x_last
-    dmixed = (dy @ model.wo.value.T).reshape(b, heads, 1, hk)
-    apply(model.wo, s.merged.T @ dy)
-    datt = dmixed @ s.vt.transpose(0, 1, 3, 2)                  # (B, H, 1, c)
-    # dK and dV as (B*c, h) rows; their (B, H, ., .) products are freed at once
-    dv = (s.att.transpose(0, 1, 3, 2) * dmixed).transpose(0, 2, 1, 3).reshape(b * c, h)
+    # attention of the last position: y = merged W_O + x_last. The merged
+    # heads' gradient goes over merged, dV over V and dK over K, each once
+    # its last read is done, and dQ over the merged heads' gradient.
+    g = np.matmul(s.merged.T, dy, out=grad(model.wo))
+    dmixed = np.matmul(dy, model.wo.value.T, out=s.merged).reshape(b, heads, 1, hk)
+    apply(model.wo, g)
+    datt = dmixed @ s.vt.transpose(0, 1, 3, 2)                    # (B, H, 1, c)
+    np.multiply(s.att.transpose(0, 1, 3, 2), dmixed, out=s.vt)
     dscores = datt - (datt * s.att).sum(axis=-1, keepdims=True)
     dscores *= s.att
     dscores *= 1.0 / math.sqrt(hk)
-    dq = (dscores @ s.kt.transpose(0, 1, 3, 2)).reshape(b, h)
-    dk = (s.q.transpose(0, 1, 3, 2) * dscores).transpose(0, 3, 1, 2).reshape(b * c, h)
-    dx_last = dy + dq @ model.wq.value.T
-    apply(model.wq, s.x[:, -1].T @ dq)
+    dq = np.matmul(dscores, s.kt.transpose(0, 1, 3, 2), out=dmixed).reshape(b, h)
+    np.multiply(s.q.reshape(b, heads, hk, 1), dscores, out=s.kt)
+    dy += dq @ model.wq.value.T
+    apply(model.wq, np.matmul(s.x[:, -1].T, dq, out=grad(model.wq)))
 
-    # K and V over every position, then the embeddings
+    # K and V over every position, then the embeddings; dV W_V^T goes over
+    # dK once wk's gradient is handed over
     x2 = s.x.reshape(b * c, h)
-    dx = dk @ model.wk.value.T
-    dx += dv @ model.wv.value.T
-    apply(model.wk, x2.T @ dk)
-    apply(model.wv, x2.T @ dv)
-    dx = dx.reshape(b, c, h)
-    dx[:, -1] += dx_last
-    apply(model.positional_embedding, dx.sum(axis=0))
-    demb = np.empty_like(model.byte_embedding.value)
-    scatter_rows(demb, s.histories, dx)
-    apply(model.byte_embedding, demb)
+    dx = np.matmul(s.k, model.wk.value.T, out=s.dx.reshape(b * c, h))
+    apply(model.wk, np.matmul(x2.T, s.k, out=grad(model.wk)))
+    dx += np.matmul(s.v, model.wv.value.T, out=s.k)
+    apply(model.wv, np.matmul(x2.T, s.v, out=grad(model.wv)))
+    s.dx[:, -1] += dy
+    apply(model.positional_embedding, np.sum(s.dx, axis=0, out=grad(model.positional_embedding)))
+    apply(model.byte_embedding, scatter_rows(grad(model.byte_embedding), s.histories, s.dx, s.v))

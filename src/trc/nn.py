@@ -90,30 +90,35 @@ def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> None:
         gf[lo:hi] *= ds
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted, in a new array.
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted, into out (a new array if
+    None); out may be x.
 
     Entries are clamped up to the dtype's smallest normal, so every
     probability stays strictly positive (and its log finite) even for extreme
     logits; row sums stay within 1e-6 of 1."""
-    e = x - x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return np.maximum(e, np.finfo(e.dtype).tiny, out=e)
 
 
-def gather_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row lookup: table (n, d), idx any int shape -> (idx.shape + (d,)).
+def gather_rows(table: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row lookup: table (n, d), idx any int shape of row numbers in [0, n)
+    -> (idx.shape + (d,)), into out (a new array if None).
 
     np.take copies the same rows as table[idx] with less per-call overhead
-    than fancy indexing, which dominates at the model's small tables."""
-    return np.take(table, idx, axis=0)
+    than fancy indexing, which dominates at the model's small tables. Its
+    default mode="raise" writes through a hidden copy of out; "clip" writes
+    out directly and, for indices in range, clips nothing."""
+    return np.take(table, idx, axis=0, out=out, mode="clip")
 
 
-def scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-    """Backward of gather_rows: out (n, d) becomes the sum of the rows of g
-    (idx.shape + (d,)) that idx sends to each row, and zero where idx never
-    points. idx holds row numbers in [0, n).
+def scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Backward of gather_rows: out (n, d) becomes, and is returned as, the
+    sum of the rows of g (idx.shape + (d,)) that idx sends to each row, and
+    zero where idx never points. idx holds row numbers in [0, n); rows, of
+    g's size and dtype, is scratch that takes g's rows in sorted order.
 
     A stable sort puts each row number's entries in one run, in input order,
     and np.add.reduceat sums every run; for uint8 idx the sort is one radix
@@ -123,8 +128,10 @@ def scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     counts = np.bincount(flat, minlength=out.shape[0])
     present = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[present]
+    rows = gather_rows(g.reshape(-1, out.shape[1]), order, rows.reshape(-1, out.shape[1]))
     out.fill(0.0)
-    out[present] = np.add.reduceat(g.reshape(-1, out.shape[1])[order], starts, axis=0)
+    out[present] = np.add.reduceat(rows, starts, axis=0)
+    return out
 
 
 # Adam's hyperparameters (Kingma & Ba's defaults); the replay contract fixes them

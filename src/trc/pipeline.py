@@ -29,8 +29,8 @@ payload, which is the byte-wise range coder's output (see coder.py). unpack
 accepts this version only, and a damaged header fails its crc before replay.
 
 A header can ask only for what the decoder is able to hold: a model of at
-most MAX_PARAMETERS parameters, train steps of at most MAX_STEP_FLOATS
-activation floats, and no more bytes than its payload can carry.
+most MAX_PARAMETERS parameters, train steps that hold at most
+MAX_STEP_FLOATS floats, and no more bytes than its payload can carry.
 ContainerHeader.check is the only validator of a job, types included (a
 ModelConfig checks nothing itself). compress and unpack both call it, so
 compress refuses up front any job whose container unpack would refuse.
@@ -292,8 +292,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     def update_weight(w, grad):
         adam_step(w.value, grad, w.m, w.v, model.steps, header.lr)
 
-    cache = deque()
-    cache_sum = 0.0
+    cache = deque(maxlen=LOSS_CACHE)
     cols = np.arange(-window, 0, dtype=np.int64)
     for first in range(window, end, CHUNK_STEPS):
         last = min(first + CHUNK_STEPS, end)
@@ -307,11 +306,8 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
             loss_sum += e
             update = True
             if header.controller_enabled:
-                update = not cache or e > cache_sum / len(cache)
+                update = not cache or e > math.fsum(cache) / len(cache)
                 cache.append(e)
-                cache_sum += e
-                if len(cache) > LOSS_CACHE:
-                    cache_sum -= cache.popleft()
             if update:
                 model.steps += 1
                 backward(model, buf[pos], update_weight)
@@ -324,7 +320,7 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
 
 
 def compress(data: bytes, config: ModelConfig = ModelConfig(), *,
-             seed: int, lanes: int = 64, lr: float = 1e-3,
+             seed: int = 0, lanes: int = 64, lr: float = 1e-3,
              controller: bool = False) -> CompressResult:
     """Code `data` into a self-describing container.
 

@@ -1,9 +1,11 @@
 """Shared test helpers: finite-difference oracle, a float64 model for
-gradient checks, and a seeded text generator."""
+gradient checks, a tracemalloc peak, and a seeded text generator."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -40,6 +42,18 @@ def float64_model(config, seed):
     for name in weight_shapes(config):
         setattr(model, name, Weight(*(a.astype(np.float64) for a in getattr(model, name))))
     return model
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations for the block, which gets a function that returns
+    tracemalloc's peak so far: the most bytes allocated since the block
+    began that were alive at one time."""
+    tracemalloc.start()
+    try:
+        yield lambda: tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-6):

@@ -70,12 +70,13 @@ class TextbookAdam:
 def grads_of(model: TraceModel, targets) -> dict[str, np.ndarray]:
     """Every weight's gradient from one backward call on the last forward
     pass and its targets, by weight name in the order backward hands them
-    over. The recording callback leaves the weights as they are."""
+    over. The recording callback copies each gradient, which backward hands
+    over in one reused buffer, and leaves the weights as they are."""
     names = {id(getattr(model, name)): name for name in weight_shapes(model.config)}
     grads = {}
 
     def record(weight, grad):
-        grads[names[id(weight)]] = grad
+        grads[names[id(weight)]] = grad.copy()
 
     backward(model, targets, record)
     return grads

@@ -8,12 +8,11 @@ gradients within a tolerance set from float32 epsilon).
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, float64_model, numeric_grad
+from conftest import assert_grads_close, float64_model, numeric_grad, traced_peak
 from oracles import (attention, embed_groups, ffn, full_sequence_probs, grads_of,
                      predict, transformer_layer)
 from trc.coder import Encoder
@@ -25,6 +24,7 @@ from trc.model import (
     forward_probs,
     nll_loss,
     parameter_count,
+    step_shapes,
     weight_shapes,
 )
 from trc.nn import SLICE, adam_step, fill_uniform
@@ -490,7 +490,7 @@ def test_backward_forms_the_logit_gradient_in_place_bit_for_bit(build, lanes):
     dlogits = forward_probs(model, histories).copy()
     dlogits[np.arange(lanes), targets.astype(np.int64)] -= 1.0
     dlogits /= lanes
-    want = model.saved.y.T @ dlogits
+    want = model.step.y.T @ dlogits
     got = grads_of(model, targets)["output_head"]
     assert got.dtype == want.dtype == model.output_head.value.dtype
     assert np.array_equal(got, want)
@@ -524,41 +524,48 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
 
 
 def test_a_second_backward_on_one_forward_raises():
-    # backward overwrites the FFN activations and the probabilities it
-    # reads, so running it again would hand over wrong gradients; it refuses
-    # until the next forward. The rest of the pass stays on the model.
+    # backward writes gradients over the activations it reads, so running
+    # it again would hand over wrong gradients; it refuses until the next
+    # forward. The buffers stay on the model, and the next forward pass of
+    # the same shape works in them again.
     model = float64_model(TINY, seed=35)
     rng = np.random.default_rng(35)
     histories = rng.integers(0, 256, (3, TINY.window), dtype=np.int64)
     forward_probs(model, histories)
-    x = model.saved.x
+    buffers = dict(model.buffers)
+    assert list(buffers) == list(step_shapes(TINY, 3))
     grads_of(model, [1, 2, 3])
+    assert model.step is None
     with pytest.raises(ValueError, match="consumed"):
         grads_of(model, [1, 2, 3])
-    assert model.saved.probs is model.saved.us is model.saved.ths is None
-    assert model.saved.x is x
-    forward_probs(model, histories)
-    assert len(grads_of(model, [1, 2, 3])) == len(weight_shapes(TINY))
+    forward_probs(model, histories[:2])
+    assert all(model.buffers[name] is buf for name, buf in buffers.items())
+    assert len(grads_of(model, [1, 2])) == len(weight_shapes(TINY))
 
 
-def test_a_second_forward_of_one_shape_allocates_no_ffn_array():
-    # us and ths live in buffers that each forward of the same shape
-    # overwrites. At this shape one (N, B, f) array is larger than anything
-    # else a forward pass allocates, so any new trace that large is one.
-    cfg = ModelConfig(hidden_dim=8, ffn_dim=2048, group_size=2, context_len=2,
-                      shared_ffn_repeats=2, num_heads=2)
-    model = TraceModel(cfg, seed=36)
+def test_a_step_after_the_first_allocates_no_step_sized_array():
+    # Every step-sized array lives in the model's buffers, so once one step
+    # has made them, a step of the benchmark's tiny config over 256 lanes
+    # (forward, loss, backward and Adam) allocates at most 512 KB at its
+    # peak, the size of two of its (B, c, h) arrays, where its table holds
+    # 1.9 MB.
+    config = ModelConfig(hidden_dim=32, ffn_dim=64, num_heads=4)
+    model = TraceModel(config, seed=36)
     rng = np.random.default_rng(36)
-    histories = rng.integers(0, 256, (4, cfg.window), dtype=np.int64)
-    first = forward_probs(model, histories)
-    nbf = cfg.shared_ffn_repeats * len(histories) * cfg.ffn_dim * 4  # float32 bytes
-    tracemalloc.start()
-    try:
-        second = forward_probs(model, histories)
-        sizes = [t.size for t in tracemalloc.take_snapshot().traces]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(second, first)
-    assert max(sizes) < nbf
-    assert peak < nbf
+    histories = rng.integers(0, 256, (256, config.window), dtype=np.uint8)
+    targets = rng.integers(0, 256, 256, dtype=np.uint8)
+
+    def update_weight(w, grad):
+        adam_step(w.value, grad, w.m, w.v, model.steps, 1e-3)
+
+    def step():
+        nll_loss(forward_probs(model, histories), targets)
+        model.steps += 1
+        backward(model, targets, update_weight)
+
+    step()
+    buffers = dict(model.buffers)
+    with traced_peak() as peak:
+        step()
+        assert peak() <= 512 << 10
+    assert all(model.buffers[name] is buf for name, buf in buffers.items())

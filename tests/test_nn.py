@@ -193,7 +193,8 @@ def test_gather_and_take_forward():
 
 def test_scatter_rows_equals_add_at_on_repeated_bytes():
     # small-integer gradients sum exactly in any order, so the sort-and-reduce
-    # must give np.add.at's result bit for bit, zero rows included
+    # must give np.add.at's result bit for bit, zero rows included, whatever
+    # its scratch held before
     rng = np.random.default_rng(11)
     for shape, d in (((4, 12), 8), ((64, 32), 64), ((1, 1), 3), ((3, 5), 1)):
         idx = rng.integers(40, 48, size=shape)     # few values, many repeats
@@ -202,7 +203,7 @@ def test_scatter_rows_equals_add_at_on_repeated_bytes():
         np.add.at(want, idx.reshape(-1), g.reshape(-1, d))
         for dtype in (np.uint8, np.int64):
             got = np.full((256, d), 7.0, dtype=np.float32)
-            scatter_rows(got, idx.astype(dtype), g)
+            scatter_rows(got, idx.astype(dtype), g, np.full_like(g, np.nan))
             assert np.array_equal(got, want)
 
 

@@ -13,14 +13,13 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import synthetic_text
+from conftest import synthetic_text, traced_peak
 import trc
 from trc.coder import Decoder, Encoder
 from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, TraceModel, Weight,
@@ -224,27 +223,29 @@ def test_step_size_is_bounded_from_the_header():
         assert ContainerHeader.unpack(ok.pack(bytes(1 << 18)))[0] == ok
 
 
-@pytest.mark.parametrize("active", [1361, 1362])
+@pytest.mark.parametrize("active", [1363, 1364])
 def test_step_size_counts_only_the_lanes_that_run_steps(active):
-    # Over 65535 lanes, WIDE_STEP holds 3f + 2h + 8ch + 512 = 197,127 floats
-    # per active lane, so 1,361 lanes of two bytes (the rest one, within the
-    # window) fit MAX_STEP_FLOATS and 1,362 do not. The header that fits is
+    # Over 65535 lanes, WIDE_STEP's step table holds 3f + 9h + 256 = 196,870
+    # floats per active lane and a 65,535-float gradient, and check_model
+    # adds 15 per lane, so 1,363 lanes of two bytes (the rest one, within the
+    # window) fit MAX_STEP_FLOATS and 1,364 do not. The header that fits is
     # only unpacked: sealed under a matching CRC, its decode would replay.
-    assert 1361 * 197_127 <= MAX_STEP_FLOATS < 1362 * 197_127
+    assert 1363 * 196_885 + 65_535 <= MAX_STEP_FLOATS < 1364 * 196_885 + 65_535
     header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
                              controller_enabled=False, seed=0,
                              original_length=65535 + active, data_checksum=0)
     container = header.pack(bytes(100))
-    if active == 1361:
+    if active == 1363:
         assert ContainerHeader.unpack(container)[0] == header
     else:
-        with pytest.raises(ContainerError, match="over 1362 lanes"):
+        with pytest.raises(ContainerError, match="over 1364 lanes"):
             decompress(container)
 
 
 def _step_peak(config, lanes):
-    """tracemalloc's peak over one forward pass, loss and backward with
-    Adam over `lanes` lanes of a freshly built model."""
+    """tracemalloc's peak over three steps (forward pass, loss, backward
+    with Adam) over `lanes` lanes of one freshly built model, so a step
+    runs while the previous one's arrays are alive, as in a job."""
     model = TraceModel(config, seed=1)
     rng = np.random.default_rng(lanes)
     histories = rng.integers(0, 256, (lanes, config.window), dtype=np.uint8)
@@ -253,21 +254,20 @@ def _step_peak(config, lanes):
     def update_weight(w, grad):
         adam_step(w.value, grad, w.m, w.v, model.steps, 1e-3)
 
-    tracemalloc.start()
-    try:
-        nll_loss(forward_probs(model, histories), targets)
-        model.steps += 1
-        backward(model, targets, update_weight)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_peak() as peak:
+        for _ in range(3):
+            nll_loss(forward_probs(model, histories), targets)
+            model.steps += 1
+            backward(model, targets, update_weight)
+        return peak()
 
 
 @pytest.mark.parametrize("config", [TINY, ODD], ids=["tiny", "odd-shape"])
 def test_step_cap_counts_at_least_what_a_step_holds(config):
-    # The peak's growth from 64 to 128 lanes is what a step holds per lane,
-    # in float32s. The cap refuses the first lane count at which that passes
-    # MAX_STEP_FLOATS, and it passes one at which 1.25 times that fits.
+    # The peak's growth from 64 to 128 lanes is what a running step holds
+    # per lane, in float32s. The cap refuses the first lane count at which
+    # that passes MAX_STEP_FLOATS, and it passes one at which 1.25 times
+    # that fits.
     slope = (_step_peak(config, 128) - _step_peak(config, 64)) / 64 / 4
     with pytest.raises(ValueError, match="floats"):
         check_model(config, MAX_STEP_FLOATS // math.floor(slope) + 1)
@@ -304,11 +304,15 @@ def test_unpack_rejects_truncated_container():
         decompress(seal(cut, cut[HEADER_SIZE:(HEADER_SIZE + len(cut)) // 2]))
 
 
-def test_payload_bit_flip_fails_checksum():
+def test_payload_bit_flip_fails_checksum(monkeypatch):
+    # the frame's CRC covers the payload, so the damage is found before any
+    # step is replayed
     good = bytearray(compress(b"a" * 300, SMALL, seed=1, lanes=2).container)
     good[HEADER_SIZE + 10] ^= 0x01
+    calls = _watch_forward_probs(monkeypatch)
     with pytest.raises(ChecksumMismatchError):
         decompress(bytes(good))
+    assert calls == []
 
 
 def test_payload_bit_flips_never_decode_to_wrong_bytes():
@@ -521,7 +525,7 @@ def test_replay_is_bit_identical_across_calls_and_processes():
 _COMPRESS_PAPER_LANES = """\
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from conftest import synthetic_text
+from conftest import synthetic_text, traced_peak
 from trc.model import ModelConfig
 from trc.pipeline import compress, decompress
 data = synthetic_text(64 * 40, seed=4)
@@ -774,14 +778,10 @@ def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
     largest = max(a * b for a, b in weight_shapes(config).values())
     step = lanes * ((2 * config.shared_ffn_repeats + 1) * config.ffn_dim
                     + 3 * config.context_len * config.hidden_dim)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         res = compress(data, config, seed=3, lanes=lanes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert res.stats.decisions == 40 - config.window
-    assert peak <= 1.2 * 4 * (3 * parameter_count(config) + largest + step)
+    assert peak() <= 1.2 * 4 * (3 * parameter_count(config) + largest + step)
 
 
 def test_quantize_is_called_once_per_main_loop_byte_on_the_steps_float32_rows(monkeypatch):
