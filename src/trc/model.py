@@ -24,8 +24,13 @@ views of the buffers' fronts with `out=`, and keeps no GELU output: the
 GELU. Backward writes each gradient over an activation it has read for the
 last time (step_shapes says which), rebuilds GELU's output over `ths` with
 `gelu_from_tanh`, the passes `gelu` itself ends with, so the bits are the
-forward's, and hands every weight's gradient over in the one `grad` buffer.
-A second `backward` on one forward pass raises ValueError.
+forward's, and hands every weight's gradient over in the one `grad` buffer:
+w1 and w2, the weights that scale with f, in row blocks of at most
+GRAD_BLOCK elements, which stay in cache while Adam reads them, and every
+other weight whole. The same buffer holds one FFN application's (B, f)
+GELU output in forward and its gradient in backward, when no weight's
+gradient is alive. A second `backward` on one forward pass raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -55,10 +60,14 @@ VOCAB = 256
 # 2,443,264.
 MAX_PARAMETERS = 1 << 26
 # Most floats a train step may hold, as check_model counts them: its
-# step_shapes arrays, the largest weight's gradient among them, and its
-# temporaries. 1 GB in float32, as for the parameters. The paper default at
-# 64 lanes holds about 3.2M.
+# step_shapes arrays, the gradient buffer among them, and its temporaries.
+# 1 GB in float32, as for the parameters. The paper default at 64 lanes
+# holds about 2.1M.
 MAX_STEP_FLOATS = 1 << 28
+# Most elements of one w1 or w2 gradient block that backward hands over:
+# 1 MB in float32, which stays in a 2 MB L2 cache while Adam reads it. A
+# weight row longer than this is one block.
+GRAD_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,13 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(a * b for a, b in weight_shapes(config).values())
 
 
+def _block_rows(shape: tuple[int, int]) -> int:
+    """Rows of each gradient block of an FFN weight of this (fan_in,
+    fan_out) shape: as many as GRAD_BLOCK elements hold, at least one and at
+    most all."""
+    return min(shape[0], max(1, GRAD_BLOCK // shape[1]))
+
+
 def step_shapes(config: ModelConfig, lanes: int) -> dict[str, tuple[int, ...]]:
     """Every array a train step over `lanes` lanes holds, by name, in the
     shape the model keeps it. Backward writes gradients over forward's
@@ -125,28 +141,33 @@ def step_shapes(config: ModelConfig, lanes: int) -> dict[str, tuple[int, ...]]:
     - us and ths (N, B, f): the pre-GELU values and the tanh inside each
       GELU. Backward puts the pre-GELU gradient over us and GELU's output
       over ths.
-    - act (B, f): one application's GELU output, then backward's du.
     - probs (B, 256): the probabilities, then the logit gradient.
-    - grad: one weight's gradient, of the largest weight's size.
+    - grad, three uses at three times: one FFN application's (B, f) GELU
+      output in forward, its gradient du in backward, and then each weight's
+      gradient as backward hands it over, w1 and w2 one row block at a time.
+      It holds the largest of the three.
     """
     b, h, c, f = lanes, config.hidden_dim, config.context_len, config.ffn_dim
     n = config.shared_ffn_repeats
+    grad = max(b * f, *(_block_rows(shape) * shape[1] if name in ("w1", "w2")
+                        else math.prod(shape) for name, shape in weight_shapes(config).items()))
     return {"x": (b, c, h), "k": (b * c, h), "v": (b * c, h), "q": (b, h), "merged": (b, h),
             "y": (b, h), "att": (b, config.num_heads, 1, c), "ys": (n, b, h), "dys": (n, b, h),
-            "us": (n, b, f), "ths": (n, b, f), "act": (b, f), "probs": (b, VOCAB),
-            "dx": (b, c, h), "grad": (max(i * o for i, o in weight_shapes(config).values()),)}
+            "us": (n, b, f), "ths": (n, b, f), "probs": (b, VOCAB), "dx": (b, c, h),
+            "grad": (grad,)}
 
 
 def check_model(config: ModelConfig, lanes: int) -> None:
     """Raise ValueError unless hidden_dim is divisible by group_size and by
     num_heads, the model has at most MAX_PARAMETERS parameters, and a train
     step over `lanes` lanes holds at most MAX_STEP_FLOATS floats: the arrays
-    of step_shapes, and per lane 8h + 3Hc + 4cg for the temporaries that are
-    no entry of it: (B, h) products and gelu_backward's scratch, (B, H, c)
-    scores, and the int64 indices and sort keys of the byte windows. A
-    temporary counted as an entry would be allocated on the model and grow
-    the very count it has to cover. Every field must already be a positive
-    int."""
+    of step_shapes, and per lane 8h + 2Hc + 4cg for the temporaries that are
+    no entry of it: (B, h) products, gelu_backward's scratch and numpy's
+    ufunc buffers; two (B, H, c) score arrays, the most that attention's
+    backward holds at once; and the int64 indices and sort keys of the byte
+    windows. A temporary counted as an entry would be allocated on the model
+    and grow the very count it has to cover. Every field must already be a
+    positive int."""
     h = config.hidden_dim
     for name, d in (("group_size", config.group_size), ("num_heads", config.num_heads)):
         if h % d:
@@ -156,7 +177,7 @@ def check_model(config: ModelConfig, lanes: int) -> None:
         raise ValueError(f"model {config.label()} has {n} parameters, "
                          f"more than {MAX_PARAMETERS}")
     n = sum(math.prod(shape) for shape in step_shapes(config, lanes).values())
-    n += lanes * (8 * h + 3 * config.num_heads * config.context_len + 4 * config.window)
+    n += lanes * (8 * h + 2 * config.num_heads * config.context_len + 4 * config.window)
     if n > MAX_STEP_FLOATS:
         raise ValueError(f"a step of model {config.label()} over {lanes} lanes "
                          f"holds {n} floats, more than {MAX_STEP_FLOATS}")
@@ -226,11 +247,16 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     computation, so the gradients of this path are exact. Every step-sized
     result goes into the model's buffers, and model.step keeps the views for
     `backward`, which turns the returned probabilities, a view too, into the
-    logit gradient.
+    logit gradient. Raises ValueError for histories of another shape, or of
+    an int dtype other than uint8 with a byte outside [0, 255]; uint8
+    histories, the pipeline's, skip that check.
     """
     cfg = model.config
     if histories.ndim != 2 or histories.shape[1] != cfg.window:
         raise ValueError(f"histories must be (B, {cfg.window}), got {histories.shape}")
+    if histories.dtype != np.uint8 and histories.size and (
+            histories.min() < 0 or histories.max() > 255):
+        raise ValueError("history bytes must lie in [0, 255]")
     b = histories.shape[0]
     c, h, heads, n = cfg.context_len, cfg.hidden_dim, cfg.num_heads, cfg.shared_ffn_repeats
     hk = h // heads
@@ -255,11 +281,12 @@ def forward_probs(model: TraceModel, histories: np.ndarray) -> np.ndarray:
     y = matmul(s.merged, model.wo.value, s.y)
     y += x_last
 
+    act = s.grad[:b * cfg.ffn_dim].reshape(b, -1)
     for i in range(n):
         s.ys[i] = y
         matmul(y, model.w1.value, s.us[i])
-        gelu(s.us[i], s.ths[i], s.act)
-        y += matmul(s.act, model.w2.value)
+        gelu(s.us[i], s.ths[i], act)
+        y += matmul(act, model.w2.value)
     softmax_rows(matmul(y, model.output_head.value, s.probs), s.probs)
     model.step = s
     return s.probs
@@ -276,16 +303,21 @@ def backward(model: TraceModel, targets: np.ndarray,
     forward_probs call and its B targets, and hand each to
     `apply(weight, grad)`.
 
-    grad is a view, in the weight's shape, of the model's one gradient
-    buffer: it stays valid until apply returns, and apply may overwrite it;
-    an apply that keeps it must copy it. Each weight is handed over once,
-    right after backward's last read of its value, so `apply` may update the
-    value in place. The order is output_head, w2, w1, wo, wq, wk, wv,
-    positional_embedding and byte_embedding. Backward writes gradients over
-    the forward pass's activations, its probabilities becoming the logit
-    gradient (probs - onehot) / B, and consumes model.step, so a second call
-    before the next forward pass raises ValueError, as do targets for
-    another lane count."""
+    grad is a view of the model's one gradient buffer in the shape of the
+    weight it is handed with: it stays valid until apply returns, and apply
+    may overwrite it; an apply that keeps it must copy it. Each weight's
+    gradient is handed over right after backward's last read of its value,
+    so `apply` may update the value in place. The order is output_head, w2,
+    w1, wo, wq, wk, wv, positional_embedding and byte_embedding. Every weight
+    but w1 and w2 is handed over once, as the model's own Weight. w1 and w2
+    are handed over in row blocks, in row order, each of at most GRAD_BLOCK
+    elements or one row: a block is a Weight of views of rows lo:hi of the
+    value and both moments, with the gradient of those rows, so an
+    elementwise update such as Adam applies to it as to the whole weight.
+    Backward writes gradients over the forward pass's activations, its
+    probabilities becoming the logit gradient (probs - onehot) / B, and
+    consumes model.step, so a second call before the next forward pass
+    raises ValueError, as do targets for another lane count."""
     s = model.step
     if s is None:
         raise ValueError("no forward pass to run backward on: none ran, "
@@ -301,6 +333,15 @@ def backward(model: TraceModel, targets: np.ndarray,
     def grad(w: Weight) -> np.ndarray:
         return s.grad[:w.value.size].reshape(w.value.shape)
 
+    def apply_rows(w: Weight, a: np.ndarray, d: np.ndarray) -> None:
+        # w's gradient a.T @ d, one row block at a time: rows lo:hi of a
+        # product are the product of a's columns lo:hi
+        rows, n = _block_rows(w.value.shape), len(w.value)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            block = Weight(*(x[lo:hi] for x in w))
+            apply(block, np.matmul(a[:, lo:hi].T, d, out=grad(block)))
+
     # head; dy takes the place of y once y has given the head's gradient
     dlogits = s.probs
     dlogits[np.arange(b), targets] -= 1.0
@@ -310,9 +351,11 @@ def backward(model: TraceModel, targets: np.ndarray,
     apply(model.output_head, g)
 
     # shared FFN, last application first: y_{i+1} = y_i + gelu(y_i W1) W2.
-    # Once gelu_backward has read us[i] and ths[i], ths[i] takes GELU's
-    # output back and us[i] the pre-GELU gradient du.
-    us, ths, du = s.us, s.ths, s.act
+    # du lives in the gradient buffer, free once the head's gradient is
+    # handed over, as GELU's output did in forward. Once gelu_backward has
+    # read us[i] and ths[i], ths[i] takes GELU's output back and us[i] the
+    # pre-GELU gradient du.
+    us, ths, du = s.us, s.ths, s.grad[:b * ffn].reshape(b, ffn)
     for i in reversed(range(len(us))):
         s.dys[i] = dy
         np.matmul(dy, model.w2.value.T, out=du)
@@ -320,8 +363,8 @@ def backward(model: TraceModel, targets: np.ndarray,
         gelu_from_tanh(us[i], ths[i], ths[i])
         us[i] = du
         dy += du @ model.w1.value.T
-    apply(model.w2, np.matmul(ths.reshape(-1, ffn).T, s.dys.reshape(-1, h), out=grad(model.w2)))
-    apply(model.w1, np.matmul(s.ys.reshape(-1, h).T, us.reshape(-1, ffn), out=grad(model.w1)))
+    apply_rows(model.w2, ths.reshape(-1, ffn), s.dys.reshape(-1, h))
+    apply_rows(model.w1, s.ys.reshape(-1, h), us.reshape(-1, ffn))
 
     # attention of the last position: y = merged W_O + x_last. The merged
     # heads' gradient goes over merged, dV over V and dK over K, each once

@@ -48,11 +48,14 @@ def float64_model(config, seed):
 def traced_peak():
     """Trace allocations for the block, which gets a function that returns
     tracemalloc's peak so far: the most bytes allocated since the block
-    began that were alive at one time."""
+    began that were alive at one time. After the block it returns the
+    block's peak, where tracemalloc itself, stopped, would read 0."""
+    done = []
     tracemalloc.start()
     try:
-        yield lambda: tracemalloc.get_traced_memory()[1]
+        yield lambda: done[0] if done else tracemalloc.get_traced_memory()[1]
     finally:
+        done.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
 
 

@@ -7,7 +7,8 @@ rearranges. The full-sequence transformer layer evaluates every position the
 way the model is defined, in plain float64 numpy with its own GELU and
 softmax; `model.forward_probs` computes only what reaches the last
 position's prediction and must agree with it there. `grads_of` is the one
-way tests read the gradients `model.backward` hands over.
+way tests read the gradients `model.backward` hands over, and `weight_of`
+names the weight of each hand-over.
 """
 
 from __future__ import annotations
@@ -67,19 +68,45 @@ class TextbookAdam:
         self.value = self.value - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def grads_of(model: TraceModel, targets) -> dict[str, np.ndarray]:
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory: a itself, or the base of a view."""
+    return a if a.base is None else a.base
+
+
+def weight_of(model: TraceModel):
+    """A function from a Weight that backward hands over, the model's own or
+    a block of row views of it, to that weight's name and the block's first
+    row. A block is found by the array that owns its value's memory."""
+    values = {}
+    for name in weight_shapes(model.config):
+        value = getattr(model, name).value
+        values[id(_owner(value))] = name, value
+
+    def find(weight) -> tuple[str, int]:
+        name, value = values[id(_owner(weight.value))]
+        return name, (weight.value.ctypes.data - value.ctypes.data) // value.strides[0]
+
+    return find
+
+
+def grads_of(model: TraceModel, targets, handed: list | None = None) -> dict[str, np.ndarray]:
     """Every weight's gradient from one backward call on the last forward
     pass and its targets, by weight name in the order backward hands them
-    over. The recording callback copies each gradient, which backward hands
-    over in one reused buffer, and leaves the weights as they are."""
-    names = {id(getattr(model, name)): name for name in weight_shapes(model.config)}
-    grads = {}
+    over, each weight's blocks joined in the order they arrive. The
+    recording callback copies each gradient, which backward hands over in
+    one reused buffer, and leaves the weights as they are. If `handed` is a
+    list, each hand-over appends (name, first row, gradient size) to it."""
+    find = weight_of(model)
+    blocks = {}
 
     def record(weight, grad):
-        grads[names[id(weight)]] = grad.copy()
+        name, row = find(weight)
+        blocks.setdefault(name, []).append(grad.copy())
+        if handed is not None:
+            handed.append((name, row, grad.size))
 
     backward(model, targets, record)
-    return grads
+    return {name: np.concatenate(parts) for name, parts in blocks.items()}
 
 
 def _check_history(history, window: int) -> np.ndarray:

@@ -7,6 +7,7 @@ gradients within a tolerance set from float32 epsilon).
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 
 from conftest import assert_grads_close, float64_model, numeric_grad, traced_peak
 from oracles import (attention, embed_groups, ffn, full_sequence_probs, grads_of,
-                     predict, transformer_layer)
+                     predict, transformer_layer, weight_of)
 from trc.coder import Encoder
 from trc.model import (
+    GRAD_BLOCK,
     ModelConfig,
     TraceModel,
     VOCAB,
@@ -377,6 +379,15 @@ def test_forward_probs_rejects_bad_shape():
         forward_probs(model, np.zeros((2, 7), dtype=np.int64))
 
 
+@pytest.mark.parametrize("byte", [300, -1])
+def test_forward_probs_rejects_bytes_out_of_range(byte):
+    # the embedding lookup clips row numbers, so forward_probs checks every
+    # history whose dtype can hold a byte outside [0, 255]
+    model = TraceModel(TINY, seed=28)
+    with pytest.raises(ValueError, match="must lie in"):
+        forward_probs(model, np.full((1, TINY.window), byte, dtype=np.int64))
+
+
 def test_predict_memorizes_repeating_stream():
     cfg = ModelConfig(hidden_dim=32, ffn_dim=64, group_size=2, context_len=4,
                       shared_ffn_repeats=2, num_heads=4)
@@ -507,11 +518,11 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
     forward_probs(model, histories)
     clean = grads_of(model, targets)
     forward_probs(model, histories)  # backward consumed the first pass
-    names = {id(getattr(model, name)): name for name in weight_shapes(TINY)}
+    find = weight_of(model)
     handed = []
 
     def poison(weight, grad):
-        handed.append((names[id(weight)], grad.copy()))
+        handed.append((find(weight)[0], grad.copy()))
         weight.value.fill(np.nan)
 
     backward(model, targets, poison)
@@ -521,6 +532,38 @@ def test_backward_hands_each_weight_over_once_after_its_last_read():
     for name, grad in handed:
         assert np.isfinite(grad).all(), name
         assert np.array_equal(grad, clean[name]), name
+
+
+def test_ffn_gradients_arrive_in_row_blocks_that_join_bit_for_bit():
+    # w1 (64, 8192) and w2 (8192, 64) each hold two GRAD_BLOCKs, so each is
+    # handed over in blocks of 32 and 4,096 rows. Joined in the order they
+    # arrive, the blocks must be the whole products to the bit: rows lo:hi
+    # of a.T @ b are a[:, lo:hi].T @ b, the same sums.
+    config = ModelConfig(hidden_dim=64, ffn_dim=8192, num_heads=4)
+    h, f = config.hidden_dim, config.ffn_dim
+    model = TraceModel(config, seed=38)
+    rng = np.random.default_rng(38)
+    forward_probs(model, rng.integers(0, 256, (2, config.window), dtype=np.uint8))
+    s, handed = model.step, []
+    grads = grads_of(model, np.array([5, 9], dtype=np.uint8), handed)
+    assert np.array_equal(grads["w1"], s.ys.reshape(-1, h).T @ s.us.reshape(-1, f))
+    assert np.array_equal(grads["w2"], s.ths.reshape(-1, f).T @ s.dys.reshape(-1, h))
+    assert max(size for _, _, size in handed) <= GRAD_BLOCK
+    assert [name for name, _ in itertools.groupby(name for name, _, _ in handed)] == list(grads)
+    for name, cols in (("w1", f), ("w2", h)):
+        blocks = [(row, size // cols) for n, row, size in handed if n == name]
+        assert len(blocks) == 2
+        assert [row for row, _ in blocks] == [0, blocks[0][1]]
+        assert sum(rows for _, rows in blocks) == len(getattr(model, name).value)
+
+
+def test_the_paper_step_table_holds_no_ffn_weight_sized_gradient():
+    # at 64 lanes, grad holds one (B, f) application, as large as one
+    # GRAD_BLOCK, where a whole w1 gradient would be four times that
+    shapes = step_shapes(ModelConfig(), 64)
+    assert "act" not in shapes
+    assert shapes["grad"] == (GRAD_BLOCK,) == (64 * 4096,)
+    assert sum(math.prod(shape) for shape in shapes.values()) == 1_970_176
 
 
 def test_a_second_backward_on_one_forward_raises():

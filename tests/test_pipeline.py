@@ -22,8 +22,8 @@ import pytest
 from conftest import synthetic_text, traced_peak
 import trc
 from trc.coder import Decoder, Encoder
-from trc.model import (MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, TraceModel, Weight,
-                       backward, check_model, forward_probs, nll_loss, parameter_count,
+from trc.model import (GRAD_BLOCK, MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, TraceModel,
+                       Weight, backward, check_model, forward_probs, nll_loss, parameter_count,
                        weight_shapes)
 from trc.nn import adam_step
 from trc.pipeline import (
@@ -225,12 +225,13 @@ def test_step_size_is_bounded_from_the_header():
 
 @pytest.mark.parametrize("active", [1363, 1364])
 def test_step_size_counts_only_the_lanes_that_run_steps(active):
-    # Over 65535 lanes, WIDE_STEP's step table holds 3f + 9h + 256 = 196,870
-    # floats per active lane and a 65,535-float gradient, and check_model
-    # adds 15 per lane, so 1,363 lanes of two bytes (the rest one, within the
-    # window) fit MAX_STEP_FLOATS and 1,364 do not. The header that fits is
-    # only unpacked: sealed under a matching CRC, its decode would replay.
-    assert 1363 * 196_885 + 65_535 <= MAX_STEP_FLOATS < 1364 * 196_885 + 65_535
+    # Over 65535 lanes, WIDE_STEP's step table holds 3f + 10h + 256 = 196,871
+    # floats per active lane, its (B, f) gradient buffer among them, and
+    # check_model adds 14 per lane, so 1,363 lanes of two bytes (the rest one,
+    # within the window) fit MAX_STEP_FLOATS and 1,364 do not. The header that
+    # fits is only unpacked: sealed under a matching CRC, its decode would
+    # replay.
+    assert 1363 * 196_885 <= MAX_STEP_FLOATS < 1364 * 196_885
     header = ContainerHeader(config=WIDE_STEP, lanes=65535, lr=0.5,
                              controller_enabled=False, seed=0,
                              original_length=65535 + active, data_checksum=0)
@@ -763,25 +764,35 @@ def test_gated_run_takes_one_adam_step_per_update(monkeypatch):
     assert calls == want
 
 
-def test_compress_peak_is_the_parameters_one_gradient_and_one_step():
-    # numpy reports its buffers to tracemalloc. At this shape the parameters
-    # and the FFN arrays dominate, so the peak of one compress is close to
-    # the weights' values and Adam moments, the largest weight's gradient,
-    # and what one step holds: the (N, B, f) buffers us and ths, one (B, f)
-    # application array, and the (B, c, h) window with its keys and values.
-    # A gradient for every weight would add a fourth parameter-sized set of
-    # arrays, 23% of that sum, and a third (N, B, f) array, as when each
-    # step kept GELU's output, about 5%; either breaks the bound.
-    config = ModelConfig(hidden_dim=64, ffn_dim=1024, num_heads=4)
+@pytest.mark.parametrize("ffn_dim, grad, ffn_arrays, slack", [
+    (1024, 64 * 1024, 5, 1.2),
+    (16384, GRAD_BLOCK, 4, 1.1),
+], ids=["whole-weight", "row-blocks"])
+def test_compress_peak_is_the_parameters_one_gradient_and_one_step(ffn_dim, grad, ffn_arrays,
+                                                                   slack):
+    # numpy reports its buffers to tracemalloc. At these shapes the
+    # parameters and the FFN arrays dominate, so the peak of one compress is
+    # close to the weights' values and Adam moments, one gradient, and what
+    # one step holds: (B, f) FFN arrays and the (B, c, h) window with its
+    # keys and values.
+    # - whole-weight: w1 (64 x 1024) is one GRAD_BLOCK or less, so the
+    #   gradient is the whole weight's. The step counts us, ths and one
+    #   (B, f) application array. A gradient for every weight would add a
+    #   fourth parameter-sized set of arrays, 23% of that sum, and a third
+    #   (N, B, f) array, as when each step kept GELU's output, about 5%;
+    #   either breaks the bound.
+    # - row-blocks: w1 (64 x 16384) is four GRAD_BLOCKs, so the gradient is
+    #   one block, which also holds the (B, f) application. The step counts
+    #   us and ths alone. A whole w1 gradient and an application array of
+    #   its own, about 14% of that sum, break the bound.
+    config = ModelConfig(hidden_dim=64, ffn_dim=ffn_dim, num_heads=4)
     lanes = 16
     data = synthetic_text(lanes * 40, seed=23)
-    largest = max(a * b for a, b in weight_shapes(config).values())
-    step = lanes * ((2 * config.shared_ffn_repeats + 1) * config.ffn_dim
-                    + 3 * config.context_len * config.hidden_dim)
+    step = lanes * (ffn_arrays * config.ffn_dim + 3 * config.context_len * config.hidden_dim)
     with traced_peak() as peak:
         res = compress(data, config, seed=3, lanes=lanes)
     assert res.stats.decisions == 40 - config.window
-    assert peak() <= 1.2 * 4 * (3 * parameter_count(config) + largest + step)
+    assert peak() <= slack * 4 * (3 * parameter_count(config) + grad + step)
 
 
 def test_quantize_is_called_once_per_main_loop_byte_on_the_steps_float32_rows(monkeypatch):
