@@ -64,7 +64,8 @@ def _write_metrics(path: str, metrics) -> None:
         writer = csv.writer(fh)
         writer.writerow(("phase", "steps", "bytes_in", "bits_out",
                          "mean_loss", "skip_count", "wall_s"))
-        writer.writerow(("warmup", 0, metrics.warmup_bytes, metrics.warmup_bits, "", 0, ""))
+        writer.writerow(("warmup", 0, metrics.warmup_bytes, metrics.warmup_bits, "", 0,
+                         f"{metrics.warmup_s:.6f}"))
         for i, c in enumerate(metrics.chunks):
             writer.writerow((f"chunk{i}", c.steps, c.bytes_in, c.bits_out,
                              f"{c.mean_loss:.6f}", c.skip_count, f"{c.wall_s:.6f}"))

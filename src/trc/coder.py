@@ -3,20 +3,21 @@
 The coder is a carryless range coder (G. N. N. Martin, "Range encoding",
 1979, in Subbotin's carryless form). Its state is an interval
 [low, low + range) inside [0, 2^32). Coding a symbol narrows the interval
-to the symbol's share, using the exact products range * cum >> 16: with
-16-bit frequencies these stay within 48 bits, so all arithmetic is exact in
-Python integers and identical in both directions. Whenever the top bytes
-of low and low + range - 1 agree, that byte is settled and leaves the state,
-so renormalization moves a whole byte at a time and keeps no pending state.
-A range below 2^16 that still straddles a byte boundary is cut to the next
-2^16 boundary, which costs a little coding efficiency and never carries.
-Compressed size tracks the cross entropy of the supplied distributions to
-within a small constant.
+to the symbol's share, using the exact quotients range * cum // T, where
+T = cum[256] is the table's total, at most 2^16: the products stay within
+48 bits, so all arithmetic is exact in Python integers and identical in both
+directions, and at T = 2^16 each quotient is the shift range * cum >> 16.
+Whenever the top bytes of low and low + range - 1 agree, that byte is
+settled and leaves the state, so renormalization moves a whole byte at a
+time and keeps no pending state. A range below 2^16 that still straddles a
+byte boundary is cut to the next 2^16 boundary, which costs a little coding
+efficiency and never carries. Compressed size tracks the cross entropy of
+the supplied distributions to within a small constant.
 
 The decoder is total: on any payload it returns a symbol for every call, or
 raises ExhaustedStreamError once it has read more than MAX_OVERDRAW bytes
 past the end. It never leaves its state space, because it takes
-code - low modulo 2^32 and clamps the target frequency into [0, 2^16).
+code - low modulo 2^32 and clamps the target frequency into [0, T).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-TOTAL = 1 << 16
+TOTAL = 1 << 16  # quantize's total, and the largest total a table may have
 _MASK = (1 << 32) - 1
 _TOP = 1 << 24  # unit of the top byte of a 32-bit value
 _BOT = 1 << 16  # least range that codes every frequency >= 1 to a nonempty range
@@ -74,20 +75,19 @@ def quantize(p) -> np.ndarray:
     return cum
 
 
-UNIFORM = quantize(np.full(256, 1.0 / 256.0))
-
-
 def max_symbols(payload_bytes: int) -> int:
     """The most symbols a Decoder over a payload of this many bytes can
     return before it raises ExhaustedStreamError.
 
     A symbol shrinks the range by a factor below 65282/65536, more than
-    0.0056 bits: the likeliest frequency is 65536 - 255, and rounding adds
-    less than 1/2^16 of the range, which is at least 2^16 before every
-    symbol. Each byte shifted in widens the range by 8 bits. The range
-    starts at 2^32 and is at least 2^16 after every symbol, and the decoder
-    shifts in at most payload_bytes + MAX_OVERDRAW - 4 bytes, so k symbols
-    need 0.0056 k < 16 + 8 (payload_bytes + MAX_OVERDRAW - 4)."""
+    0.0056 bits: under a table of total T <= 2^16 the likeliest frequency
+    is T - 255, a share of at most 1 - 255/2^16, and flooring both ends of
+    the share adds less than 1 to the range, which is at least 2^16 before
+    every symbol, so less than 1/2^16 of it. Each byte shifted in widens the
+    range by 8 bits. The range starts at 2^32 and is at least 2^16 after
+    every symbol, and the decoder shifts in at most
+    payload_bytes + MAX_OVERDRAW - 4 bytes, so k symbols need
+    0.0056 k < 16 + 8 (payload_bytes + MAX_OVERDRAW - 4)."""
     return (8 * (payload_bytes + MAX_OVERDRAW) - 16) * 10_000 // 56
 
 
@@ -103,12 +103,16 @@ class Encoder:
         self._finished = False
 
     def encode_symbol(self, sym: int, cum: np.ndarray) -> None:
+        """Code sym under cum: 257 cumulative frequencies from cum[0] = 0,
+        every symbol at least 1 wide, and a total T = cum[256] of at most
+        2^16, which the range, at least 2^16, then always splits into
+        nonempty shares."""
         if self._finished:
             raise ValueError("encoder already finished")
-        rng = self.range
-        lo = rng * int(cum[sym]) >> 16
+        rng, total = self.range, int(cum[256])
+        lo = rng * int(cum[sym]) // total
         low = self.low + lo
-        rng = (rng * int(cum[sym + 1]) >> 16) - lo
+        rng = rng * int(cum[sym + 1]) // total - lo
         while True:
             if (low ^ (low + rng - 1)) >= _TOP:
                 if rng >= _BOT:
@@ -159,16 +163,17 @@ class Decoder:
 
     def decode_symbol(self, cum: np.ndarray) -> int:
         low, rng = self.low, self.range
-        # the symbol is the last whose rng * cum >> 16 is at most code - low,
+        # the symbol is the last whose rng * cum // T is at most code - low,
         # that is, whose cum is at most target; a memoryview's items are
         # Python ints, so bisect's probes box no numpy scalars
         cum = memoryview(cum)
+        total = cum[256]
         offset = (self.code - low) & _MASK
-        target = min(((offset + 1 << 16) - 1) // rng, TOTAL - 1)
+        target = min(((offset + 1) * total - 1) // rng, total - 1)
         sym = bisect_right(cum, target) - 1
-        lo = rng * cum[sym] >> 16
+        lo = rng * cum[sym] // total
         low += lo
-        rng = (rng * cum[sym + 1] >> 16) - lo
+        rng = rng * cum[sym + 1] // total - lo
         while True:
             if (low ^ (low + rng - 1)) >= _TOP:
                 if rng >= _BOT:

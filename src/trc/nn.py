@@ -185,17 +185,17 @@ def fill_uniform(seed: int, first: int, n: int, lo: float, hi: float) -> np.ndar
     """Draws first .. first+n-1 of the SplitMix64 stream seeded with `seed`,
     each as (u64 >> 11) * 2^-53 scaled into [lo, hi), in a new float64 array.
 
-    SplitMix64's state after draw i is seed + (i+1)*gamma mod 2^64, and the
-    output mixes that state alone, so any run of draws is computed directly,
-    elementwise, with the same bits on every platform. The format fixes gamma
-    at 0x9E3779B97F4E1C15, which is not the reference code's ...4A7C15."""
+    SplitMix64's state after draw i is seed + (i+1)*gamma mod 2^64, with the
+    reference gamma 0x9E3779B97F4A7C15, and the output mixes that state
+    alone, so any run of draws is computed directly, elementwise, with the
+    same bits on every platform."""
     if not lo < hi:
         raise ValueError(f"empty range: lo={lo!r} must be < hi={hi!r}")
     # z and t are the only arrays: the mixing runs in place in z, t takes each
     # shifted copy and, at the end, becomes the float64 result. uint64 array
     # arithmetic wraps mod 2^64.
     z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4E1C15)
+    z *= np.uint64(0x9E3779B97F4A7C15)
     z += np.uint64(seed & _MASK64)
     t = np.empty_like(z)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):

@@ -1,13 +1,14 @@
 """The dynamic compression loop and the container file format.
 
 One file becomes B contiguous lanes coded side by side into a single
-range-coded stream by one shared model. Each lane's first c*g bytes are
-coded uniformly (the model needs that much history before it can speak);
-after that, every global step codes one byte per active lane with the
-model's pre-update prediction, then the mean loss across lanes gates one
-optimizer step. Compress and decompress run this one loop, differing only
-in whether a byte is encoded from the input or decoded into the output,
-so the model trajectories match and no weights are ever stored.
+range-coded stream by one shared model. Each lane's first c*g bytes, the
+warm-up, are coded under adaptive order-1 byte counts that all lanes share
+(the model needs that much history before it can speak); after that, every
+global step codes one byte per active lane with the model's pre-update
+prediction, then the mean loss across lanes gates one optimizer step.
+Compress and decompress run this one loop, differing only in whether a byte
+is encoded from the input or decoded into the output, so the counts and the
+model trajectories match and no weights are ever stored.
 
 Replay contract: decoding repeats the encoder's float computation bit for
 bit only on the same numpy/BLAS build and kernel family. The model trains
@@ -20,13 +21,16 @@ OpenBLAS 0.3.31): the paper default over 64 lanes gives the same container
 with 1 and with 2 threads, which the tests check. OpenBLAS does not promise
 this; a build whose threads split the sums inside one output would break it.
 
-Container layout, version 6 (little-endian, fixed width, 48 bytes, payload
+Container layout, version 7 (little-endian, fixed width, 48 bytes, payload
 immediately after): magic "TRCE", version u8, hidden u16, ffn u16, group
 u16, context u16, ffn_repeats u16, heads u16, lanes u16, lr f32,
 controller u8, seed u64, original_length u64, data crc32 u32 (of the
 original bytes), then one crc32 u32 of the 44 bytes before it and the
 payload, which is the byte-wise range coder's output (see coder.py). unpack
 accepts this version only, and a damaged header fails its crc before replay.
+Version 7 changed no header byte: it codes the warm-up under order-1 counts
+where version 6 coded it uniformly, and seeds the weights from the reference
+SplitMix64 increment.
 
 A header can ask only for what the decoder is able to hold: a model of at
 most MAX_PARAMETERS parameters, train steps that hold at most
@@ -48,16 +52,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coder import Decoder, Encoder, ExhaustedStreamError, UNIFORM, max_symbols, quantize
+from .coder import TOTAL, Decoder, Encoder, ExhaustedStreamError, max_symbols, quantize
 from .model import ModelConfig, TraceModel, backward, check_model, forward_probs, nll_loss
 from .nn import adam_step
 
 MAGIC = b"TRCE"
-VERSION = 6
+VERSION = 7
 _HEADER = struct.Struct("<4sB7HfBQQI")
 HEADER_SIZE = _HEADER.size + 4  # the fields, then the frame's crc32
 CHUNK_STEPS = 256
 LOSS_CACHE = 16
+COUNT_STEP = 32  # what a warm-up byte adds to its frequency in its count row
 
 
 class ContainerError(ValueError):
@@ -195,12 +200,13 @@ class StreamMetrics:
 
     Bits are the coder's renormalization shifts, which the encoder and the
     decoder make at the same symbols, so both directions report equal
-    traces apart from wall time. The seal and byte padding after the last
-    symbol go to the last chunk (to warm-up if no chunk ran), so the total
-    is 8 x payload bytes."""
+    traces apart from wall time: warmup_s and each chunk's wall_s. The seal
+    and byte padding after the last symbol go to the last chunk (to warm-up
+    if no chunk ran), so the total is 8 x payload bytes."""
 
     warmup_bytes: int = 0
     warmup_bits: int = 0
+    warmup_s: float = 0.0
     chunks: list = field(default_factory=list)
 
     @property
@@ -251,19 +257,44 @@ class DecompressResult(_Result):
     data: bytes
 
 
+def _warm_up(buf: np.ndarray, code, starts: np.ndarray, sizes: np.ndarray) -> None:
+    """Code the first sizes[k] bytes of each lane k, lane by lane, under
+    adaptive order-1 counts: a (257, 257) int32 table of cumulative
+    frequencies whose row b codes the byte after a byte b, and whose row 256
+    codes a lane's first byte. Every frequency starts at 1. All lanes share
+    the table and update it in coding order, so the decoder holds the same
+    rows at every byte.
+
+    After a byte is coded, which both directions have put in `buf` by then,
+    its frequency in the row that coded it gains COUNT_STEP. If that would
+    take the row's total past 2^16, the coder's largest, every frequency of
+    the row first halves, rounding up, so none falls to 0. The table lives
+    only during the call."""
+    counts = np.tile(np.arange(257, dtype=np.int32), (257, 1))
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        row = counts[256]
+        for i in range(start, start + size):
+            code(i, row)
+            b = int(buf[i])
+            if row[256] > TOTAL - COUNT_STEP:
+                np.cumsum((np.diff(row) + 1) >> 1, out=row[1:])
+            row[b + 1:] += COUNT_STEP
+            row = counts[b]
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetrics:
     """The lane loop of both directions.
 
     `code(i, cum)` codes byte i of the file under the cumulative
     frequencies cum: the encoder reads it from `buf`, the decoder decodes it
-    into `buf`. Warm-up codes each lane's first `window` bytes uniformly, in
-    lane order. Main-loop step s then codes byte offset s of every lane
-    longer than s; lane_layout puts those lanes first, so the active lanes
-    are a prefix that only shrinks. A step's histories lie before its
-    positions in the same lanes, so they are known to both sides. Each
-    lane's byte is coded under quantize of its float32 row of the step's
-    probabilities, the array that backward later consumes.
+    into `buf`. Warm-up codes each lane's first `window` bytes, in lane
+    order, under _warm_up's count rows. Main-loop step s then codes byte
+    offset s of every lane longer than s; lane_layout puts those lanes
+    first, so the active lanes are a prefix that only shrinks. A step's
+    histories lie before its positions in the same lanes, so they are known
+    to both sides. Each lane's byte is coded under quantize of its float32
+    row of the step's probabilities, the array that backward later consumes.
     `shifts()` is the coder's renormalization shift count. The model is
     built only if some lane outlasts its warm-up. A float overflow or NaN
     raises FloatingPointError where it happens, which is the same operation
@@ -278,10 +309,11 @@ def _run(header: ContainerHeader, buf: np.ndarray, code, shifts) -> StreamMetric
     metrics = StreamMetrics()
     window = header.config.window
     starts, sizes = lane_layout(header.original_length, header.lanes)
-    for start, size in zip(starts.tolist(), sizes.tolist()):
-        for i in range(start, start + min(size, window)):
-            code(i, UNIFORM)
-    metrics.warmup_bytes = int(np.minimum(sizes, window).sum())
+    warm = np.minimum(sizes, window)
+    t0 = time.perf_counter()
+    _warm_up(buf, code, starts, warm)
+    metrics.warmup_s = time.perf_counter() - t0
+    metrics.warmup_bytes = int(warm.sum())
     metrics.warmup_bits = shifts()
 
     end = int(sizes.max())

@@ -1,12 +1,14 @@
 """Reference implementations the production code is checked against.
 
-`splitmix64` is the one scalar SplitMix64 stream: `nn.fill_uniform` computes
-any run of its draws directly, and `rng_uniform` turns one draw into a float
-the way fill_uniform does. `TextbookAdam` is the update `nn.adam_step`
-rearranges. The full-sequence transformer layer evaluates every position the
-way the model is defined, in plain float64 numpy with its own GELU and
-softmax; `model.forward_probs` computes only what reaches the last
-position's prediction and must agree with it there. `grads_of` is the one
+`OrderOneCounts` keeps the warm-up's count rows as `pipeline` defines them,
+one frequency list per row. `splitmix64` is the one scalar SplitMix64
+stream: `nn.fill_uniform` computes any run of its draws directly, and
+`rng_uniform` turns one draw into a float the way fill_uniform does.
+`TextbookAdam` is the update `nn.adam_step` rearranges. The full-sequence
+transformer layer evaluates every position the way the model is defined, in
+plain float64 numpy with its own GELU and softmax; `model.forward_probs`
+computes only what reaches the last position's prediction and must agree
+with it there. `grads_of` is the one
 way tests read the gradients `model.backward` hands over, and `weight_of`
 names the weight of each hand-over.
 """
@@ -20,15 +22,52 @@ import numpy as np
 from trc.model import TraceModel, backward, forward_probs, weight_shapes
 
 
-def splitmix64(seed: int):
+class OrderOneCounts:
+    """The warm-up's adaptive order-1 counts: 256 frequencies per row, row b
+    for the byte after a byte b and row 256 for a lane's first byte, each
+    frequency starting at 1. Coding a byte adds `step` to its frequency in
+    the row that coded it; if that would take the row's total past `limit`,
+    every frequency of the row first halves, rounding up. `halvings` counts
+    those."""
+
+    def __init__(self, step: int = 32, limit: int = 1 << 16):
+        self.freq = [[1] * 256 for _ in range(257)]
+        self.step, self.limit, self.halvings = step, limit, 0
+
+    def cum(self, row: int) -> list[int]:
+        """The row's 257 cumulative frequencies, from 0."""
+        out = [0]
+        for f in self.freq[row]:
+            out.append(out[-1] + f)
+        return out
+
+    def update(self, row: int, byte: int) -> None:
+        freq = self.freq[row]
+        if sum(freq) + self.step > self.limit:
+            freq[:] = [(f + 1) // 2 for f in freq]
+            self.halvings += 1
+        freq[byte] += self.step
+
+    def warm_up(self, data: bytes, starts, sizes):
+        """Each (table, byte) pair the warm-up codes, in coding order: the
+        first sizes[k] bytes of each lane k, lane by lane."""
+        for start, size in zip(starts, sizes):
+            row = 256
+            for byte in data[start:start + size]:
+                yield self.cum(row), byte
+                self.update(row, byte)
+                row = byte
+
+
+def splitmix64(seed: int, gamma: int = 0x9E3779B97F4A7C15):
     """SplitMix64 (Steele, Lea & Flood 2014): endless 64-bit draws from one
-    64-bit word of state, the same on every platform. The state increment is
-    0x9E3779B97F4E1C15, not the reference code's 0x9E3779B97F4A7C15; it is
-    odd, so the period is still 2^64, and the container format fixes it."""
+    64-bit word of state, the same on every platform. `gamma` is the state
+    increment, by default the reference code's; any odd one keeps the period
+    at 2^64."""
     mask = (1 << 64) - 1
     state = seed & mask
     while True:
-        state = (state + 0x9E3779B97F4E1C15) & mask
+        state = (state + gamma) & mask
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask

@@ -50,6 +50,7 @@ def test_metrics_csv_bits_sum_to_the_payload(packed):
     with open(metrics, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["phase"] == "warmup"
+    assert float(rows[0]["wall_s"]) > 0.0
     assert len(rows) > 2
     payload_bytes = container.stat().st_size - HEADER_SIZE
     assert sum(int(r["bits_out"]) for r in rows) == 8 * payload_bytes

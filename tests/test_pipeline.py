@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_text, traced_peak
+from oracles import OrderOneCounts
 import trc
 from trc.coder import Decoder, Encoder
 from trc.model import (GRAD_BLOCK, MAX_PARAMETERS, MAX_STEP_FLOATS, ModelConfig, TraceModel,
@@ -82,7 +83,8 @@ def _watch_forward_probs(monkeypatch):
 
 def without_wall_time(metrics):
     return dataclasses.replace(
-        metrics, chunks=[dataclasses.replace(c, wall_s=0.0) for c in metrics.chunks])
+        metrics, warmup_s=0.0,
+        chunks=[dataclasses.replace(c, wall_s=0.0) for c in metrics.chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ def test_header_packs_to_fixed_size_and_roundtrips():
                              original_length=123456, data_checksum=0x55667788)
     blob = header.pack(b"xyz" * 1000)
     assert HEADER_SIZE == 48
-    assert blob[:5] == MAGIC + bytes([VERSION]) and VERSION == 6
+    assert blob[:5] == MAGIC + bytes([VERSION]) and VERSION == 7
     # one CRC-32 seals the 44 bytes before it and the payload after it
     assert blob[44:48] == zlib.crc32(blob[:44] + blob[48:]).to_bytes(4, "little")
     parsed, payload = ContainerHeader.unpack(blob)
@@ -172,7 +174,7 @@ def test_unpack_rejects_bad_magic():
 
 def test_unpack_rejects_unsupported_version():
     good = bytearray(compress(b"hello world", SMALL, seed=1, lanes=2).container)
-    for version in (1, 2, 3, 4, 5, 99):
+    for version in (1, 2, 3, 4, 5, 6, 99):
         good[4] = version
         with pytest.raises(UnsupportedVersionError):
             decompress(bytes(good))
@@ -423,8 +425,8 @@ def test_roundtrip_empty_input():
 
 
 def test_inputs_within_warm_up_never_build_the_model(monkeypatch):
-    # lanes x window bytes code only uniform warm-up symbols; one byte more
-    # needs a model step
+    # lanes x window bytes code only warm-up symbols; one byte more needs a
+    # model step
     def no_model(*args):
         raise AssertionError("model built")
 
@@ -602,17 +604,21 @@ def test_different_seed_changes_container():
 
 class CodingRecord:
     """Order-sensitive digest of every (distribution, symbol) pair the coder
-    handles, plus the ideal cost of that pairing in bits."""
+    handles, plus the ideal cost of that pairing in bits. With `keep`, each
+    pair is also kept, the table as a list, in `pairs`."""
 
-    def __init__(self):
+    def __init__(self, keep: bool = False):
         self.digest = 0
         self.count = 0
         self.cost_bits = 0.0
+        self.pairs = [] if keep else None
 
     def observe(self, cum, sym):
         self.digest = zlib.crc32(cum.astype("<u4").tobytes() + bytes([sym]), self.digest)
         self.count += 1
-        self.cost_bits += 16.0 - math.log2(int(cum[sym + 1] - cum[sym]))
+        self.cost_bits += math.log2(int(cum[256])) - math.log2(int(cum[sym + 1] - cum[sym]))
+        if self.pairs is not None:
+            self.pairs.append((cum.tolist(), sym))
 
     def watch(self, monkeypatch):
         """Observe every symbol the Encoder and Decoder classes code until
@@ -647,6 +653,30 @@ def test_encoder_and_decoder_see_identical_distributions(monkeypatch):
         assert dec_record.count == enc_record.count
         assert dec_record.digest == enc_record.digest
         assert dec_record.cost_bits == pytest.approx(enc_record.cost_bits)
+
+
+@pytest.mark.parametrize("data, config, lanes, halvings", [
+    (bytes(4096), TINY, 128, 2),
+    (synthetic_text(2000, seed=19), SMALL, 5, 0),
+], ids=["zeros-warm-up-only", "text"])
+def test_warm_up_codes_under_the_oracles_count_rows(monkeypatch, data, config, lanes, halvings):
+    # 4,096 zero bytes over 128 lanes are warm-up only at TINY's window of
+    # 32: row 0 takes 3,968 hits, passes 2^16 at the 2,041st and again about
+    # 1,020 hits after its halving. The text runs main-loop steps after its
+    # warm-up
+    with monkeypatch.context() as patch:
+        enc_record = CodingRecord(keep=True).watch(patch)
+        res = compress(data, config, seed=2, lanes=lanes)
+    with monkeypatch.context() as patch:
+        dec_record = CodingRecord(keep=True).watch(patch)
+        assert decompress(res.container).data == data
+    oracle = OrderOneCounts()
+    starts, sizes = lane_layout(len(data), lanes)
+    want = list(oracle.warm_up(data, starts.tolist(), np.minimum(sizes, config.window).tolist()))
+    assert len(want) == res.metrics.warmup_bytes
+    assert enc_record.pairs[:len(want)] == want
+    assert dec_record.pairs[:len(want)] == want
+    assert oracle.halvings == halvings
 
 
 def test_payload_tracks_ideal_cost(monkeypatch):
@@ -684,6 +714,7 @@ def test_metrics_chunk_structure(monkeypatch):
     assert all(c.steps == 100 for c in chunks[:-1])
     assert all(c.bits_out >= 0 for c in chunks)
     assert all(c.wall_s >= 0.0 for c in chunks)
+    assert res.metrics.warmup_s > 0.0
     assert all(np.isfinite(c.mean_loss) and c.mean_loss > 0 for c in chunks)
     assert sum(c.bytes_in for c in chunks) == 1000 - res.metrics.warmup_bytes
 
